@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-cpu test-full test-chaos bench bench-smoke bench-json serve-smoke shard-smoke examples fmt fmt-check vet lint lint-tools
+.PHONY: build test test-cpu test-full test-chaos fuzz-kernels bench bench-smoke bench-json serve-smoke shard-smoke examples fmt fmt-check vet lint lint-tools
 
 build:
 	$(GO) build ./...
@@ -35,6 +35,18 @@ test-chaos:
 		-run 'TestChaos|TestFault|TestStream|TestDeadline|TestRunGroupFaultConn|TestGroupAllSessionsLost|TestRetry' \
 		./internal/transport/ ./internal/protocol/ ./internal/model/ ./internal/serve/
 
+# Kernel fuzz lane: the Montgomery core, the Straus dot tables (public and
+# CRT), the fixed-base combs and the CRT exponentiation, each fuzzed against
+# big.Int for FUZZTIME. go test accepts one -fuzz target per run.
+FUZZTIME ?= 15s
+KERNEL_FUZZ = FuzzMontMul FuzzDotTables FuzzFixedBaseExp FuzzExpCRT
+
+fuzz-kernels:
+	@for f in $(KERNEL_FUZZ); do \
+		echo "fuzz $$f"; \
+		$(GO) test -run XXX -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) ./internal/paillier/ || exit 1; \
+	done
+
 # Examples lane: compile every example, smoke-run the quickstart and the
 # multi-party group runtime.
 examples:
@@ -55,14 +67,14 @@ bench-smoke:
 # Benchmarks as data: the exponentiation-engine and amortized-precompute
 # perf suites at a production key size, the end-to-end fed-step, fed-epoch,
 # multi-party, sharded-label-party and serve rows, written to
-# BENCH_PR10.json (format: internal/bench/README.md). Since PR 8 every row
+# BENCH_PR12.json (format: internal/bench/README.md). Since PR 8 every row
 # with a baseline config also carries a ratio column, and the file opens
 # with a fixed-operand calibration op — absolute ns on a shared host swing
 # 2× run to run, so the trajectory is judged on ratios, with the calibration
 # row bounding how much of a cross-file delta is machine. Earlier points of
-# the trajectory (BENCH_PR3.json..BENCH_PR8.json) are kept, not rewritten.
+# the trajectory (BENCH_PR3.json..BENCH_PR10.json) are kept, not rewritten.
 bench-json:
-	$(GO) run ./cmd/blindfl-bench -perf BENCH_PR10.json -keybits 2048
+	$(GO) run ./cmd/blindfl-bench -perf BENCH_PR12.json -keybits 2048
 
 # Shard smoke lane: two real blindfl-shard worker processes on loopback TCP
 # plus a 2-shard blindfl-train run against them — the multi-process wiring

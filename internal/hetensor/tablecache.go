@@ -218,10 +218,9 @@ func tableCachePut(key tableKey, tabs *paillier.DotTables) {
 // tables would make every warm hit evaluate *slower* than the uncached
 // tier, the opposite of the knob's contract, so the caller bypasses.
 func cacheWindow(live, gpr, maxBits int, pk *paillier.PublicKey, budget int64) uint {
-	eb := int64(pk.N2.BitLen()/8 + 48)
 	floor := paillier.DotWindow(maxBits, 8) // the amortized per-call width
 	for w := uint(8); w >= floor; w-- {
-		if int64(gpr)*int64(live)*int64((1<<w)-1)*eb <= budget/2 {
+		if int64(gpr)*pk.DotTablesBytes(live, w) <= budget/2 {
 			return w
 		}
 	}

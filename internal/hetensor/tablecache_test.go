@@ -220,6 +220,30 @@ func TestTableCacheCRTMode(t *testing.T) {
 	})
 }
 
+// TestDotTablesBytesExact pins the cache's charge per table: the limb slab
+// and nothing else. At the 512-bit test key a residue is 16 limbs mod N²
+// (or 8 + 8 mod p² and q²), so 3 bases at width 4 hold 3·15·16·8 bytes in
+// both modes.
+func TestDotTablesBytesExact(t *testing.T) {
+	k := testKey
+	pk := &k.PublicKey
+	col := Encrypt(pk, tensor.RandDense(rand.New(rand.NewSource(23)), 3, 1, 2), 1).C
+	const want = 3 * 15 * 16 * 8
+	check := func(mode string) {
+		t.Helper()
+		if got := pk.PrecomputeDot(col, 4).Bytes(); got != want {
+			t.Fatalf("%s: DotTables.Bytes() = %d, want %d", mode, got, want)
+		}
+		if got := pk.DotTablesBytes(len(col), 4); got != want {
+			t.Fatalf("%s: DotTablesBytes = %d, want %d", mode, got, want)
+		}
+	}
+	check("public")
+	paillier.RegisterSecretOps(k)
+	defer paillier.UnregisterSecretOps(pk)
+	check("crt")
+}
+
 func BenchmarkMulPlainLeftWarmCache(b *testing.B) {
 	k := testKey
 	pk := &k.PublicKey

@@ -25,18 +25,15 @@ import (
 const DefaultFixedBaseBudget = 16 << 20
 
 // FixedBase holds comb tables for one constant base modulo one modulus.
-// It is immutable after construction and safe for concurrent Exp calls.
+// The tables live in one limb slab in Montgomery form (mont.go), and Exp
+// multiplies in that form. It is immutable after construction and safe for
+// concurrent Exp calls.
 type FixedBase struct {
-	m    *big.Int
+	mc   *mont
+	base *big.Int // base mod m, for exponents wider than the tables
 	w    uint
-	bits int          // max exponent bit length the table covers
-	tabs [][]*big.Int // tabs[i][d] = base^(d·2^(i·w)) mod m, d = 1..2^w−1
-}
-
-// fixedBaseEntryBytes estimates the memory of one table residue mod m:
-// the limb storage plus big.Int bookkeeping overhead.
-func fixedBaseEntryBytes(m *big.Int) int64 {
-	return int64(m.BitLen()/8 + 48)
+	bits int        // max exponent bit length the table covers
+	tabs []big.Word // entry (i, d) = base^(d·2^(i·w))·R mod m at ((i·(2^w−1))+d−1)·n, d = 1..2^w−1
 }
 
 // fixedBaseWindow picks the widest window whose comb table for maxBits-bit
@@ -47,7 +44,7 @@ func fixedBaseWindow(maxBits int, m *big.Int, budget int64) uint {
 	if budget <= 0 {
 		budget = DefaultFixedBaseBudget
 	}
-	eb := fixedBaseEntryBytes(m)
+	eb := int64(montLimbs(m)) * wordBytes
 	for w := uint(8); w > 1; w-- {
 		wins := int64((maxBits + int(w) - 1) / int(w))
 		if wins*int64((1<<w)-1)*eb <= budget {
@@ -61,30 +58,29 @@ func fixedBaseWindow(maxBits int, m *big.Int, budget int64) uint {
 // to maxBits bits. budget caps the table memory in bytes (<= 0 selects
 // DefaultFixedBaseBudget); the window width adapts to it. Construction costs
 // ~maxBits squarings plus ⌈maxBits/w⌉·(2^w−2) multiplications mod m — a
-// one-time cost amortized across every later Exp.
+// one-time cost amortized across every later Exp. m must be odd (Montgomery
+// form); an even modulus panics.
 func NewFixedBase(base, m *big.Int, maxBits int, budget int64) *FixedBase {
 	if maxBits < 1 {
 		panic(fmt.Sprintf("paillier: NewFixedBase maxBits %d < 1", maxBits))
 	}
-	if m.Sign() <= 0 {
-		panic("paillier: NewFixedBase modulus must be positive")
-	}
+	mc := newMont(m, "NewFixedBase")
 	w := fixedBaseWindow(maxBits, m, budget)
 	wins := (maxBits + int(w) - 1) / int(w)
-	f := &FixedBase{m: m, w: w, bits: maxBits, tabs: make([][]*big.Int, wins)}
-	size := 1 << w
-	cur := new(big.Int).Mod(base, m) // base^(2^(i·w)), advanced per window
+	n := mc.limbs()
+	per := ((1 << w) - 1) * n
+	f := &FixedBase{mc: mc, base: new(big.Int).Mod(base, m), w: w, bits: maxBits,
+		tabs: make([]big.Word, wins*per)}
+	scratch := make([]big.Word, mc.scratchWords())
+	cur := make([]big.Word, n) // base^(2^(i·w)), advanced per window
+	mc.to(cur, f.base, scratch)
 	for i := 0; i < wins; i++ {
-		tab := make([]*big.Int, size)
-		tab[1] = new(big.Int).Set(cur)
-		for d := 2; d < size; d++ {
-			tab[d] = new(big.Int).Mul(tab[d-1], tab[1])
-			tab[d].Mod(tab[d], m)
-		}
-		f.tabs[i] = tab
+		tab := f.tabs[i*per : (i+1)*per]
+		copy(tab[:n], cur)
+		mc.powers(tab, scratch)
 		if i+1 < wins {
 			for s := uint(0); s < w; s++ {
-				cur.Mul(cur, cur).Mod(cur, m)
+				mc.mul(cur, cur, cur, scratch)
 			}
 		}
 	}
@@ -97,14 +93,8 @@ func (f *FixedBase) Window() uint { return f.w }
 // Bits reports the largest exponent bit length the table covers.
 func (f *FixedBase) Bits() int { return f.bits }
 
-// Bytes estimates the table's memory footprint.
-func (f *FixedBase) Bytes() int64 {
-	n := 0
-	for _, tab := range f.tabs {
-		n += len(tab) - 1
-	}
-	return int64(n) * fixedBaseEntryBytes(f.m)
-}
+// Bytes reports the table's memory footprint: the length of the limb slab.
+func (f *FixedBase) Bytes() int64 { return int64(len(f.tabs)) * wordBytes }
 
 // Exp returns base^e mod m using the comb tables: one table lookup and
 // multiplication per non-zero w-bit digit of e, no squarings. e must be
@@ -115,22 +105,28 @@ func (f *FixedBase) Exp(e *big.Int) *big.Int {
 		panic("paillier: FixedBase.Exp negative exponent")
 	}
 	if e.BitLen() > f.bits {
-		return new(big.Int).Exp(f.tabs[0][1], e, f.m)
+		return new(big.Int).Exp(f.base, e, f.mc.mod)
 	}
-	var acc *big.Int
-	for i := range f.tabs {
+	n := f.mc.limbs()
+	per := ((1 << f.w) - 1) * n
+	buf := make([]big.Word, n+f.mc.scratchWords())
+	acc, scratch := buf[:n], buf[n:]
+	have := false
+	for i := 0; i*per < len(f.tabs); i++ {
 		d := windowDigit(e, i*int(f.w), f.w)
 		if d == 0 {
 			continue
 		}
-		if acc == nil {
-			acc = new(big.Int).Set(f.tabs[i][d])
-			continue
+		ent := f.tabs[i*per+int(d-1)*n:][:n]
+		if have {
+			f.mc.mul(acc, acc, ent, scratch)
+		} else {
+			copy(acc, ent)
+			have = true
 		}
-		acc.Mul(acc, f.tabs[i][d]).Mod(acc, f.m)
 	}
-	if acc == nil {
+	if !have {
 		return big.NewInt(1) // e == 0
 	}
-	return acc
+	return f.mc.from(acc, scratch)
 }

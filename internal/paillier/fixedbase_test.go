@@ -84,6 +84,19 @@ func TestFixedBaseWindowAdaptsToBudget(t *testing.T) {
 	}
 }
 
+// TestFixedBaseBytesExact pins Bytes to the comb slab: at the 512-bit test
+// key a residue mod N² is 16 limbs, and a 400-bit table at w = 8 holds
+// 50 windows of 255 entries.
+func TestFixedBaseBytesExact(t *testing.T) {
+	fb := NewFixedBase(big.NewInt(12345), testKey.N2, 400, 0)
+	if fb.Window() != 8 {
+		t.Fatalf("default budget picked window %d, want 8", fb.Window())
+	}
+	if got, want := fb.Bytes(), int64(50*255*16*8); got != want {
+		t.Fatalf("Bytes() = %d, want %d", got, want)
+	}
+}
+
 // TestFixedBaseNegativeExpPanics pins the contract.
 func TestFixedBaseNegativeExpPanics(t *testing.T) {
 	k := testKey

@@ -42,6 +42,18 @@
 //	  Straus tables in PrecomputeDot/DotRow. Obtain with sk.Ops();
 //	  RegisterSecretOps routes the public entry points through it for keys
 //	  this process holds — a single-trust-domain optimization (see crt.go).
+//
+// The Straus tables and the comb tables multiply on one Montgomery core
+// (mont.go) for the odd moduli N², p² and q². Each table build converts its
+// residues into Montgomery form once, into one contiguous limb slab, and
+// each result converts back once; every product in between is a CIOS
+// multiply-and-reduce with no long division. The rows of that loop run on
+// math/big's assembly addMulVVW, reached by a go:linkname pull that
+// math/big explicitly permits, because the same loop written over
+// math/bits in pure Go is slower than the big.Int.Mul+Mod it replaces.
+// Products are fully reduced, so the kernels return exactly the integers
+// Mul+Mod would. Encrypt, Decrypt, ExpCRT and the textbook ablation stay
+// on big.Int.Exp, which already reduces in Montgomery form in assembly.
 package paillier
 
 import (

@@ -118,65 +118,92 @@ const MaxDotWindow = 10
 // DotTables holds per-base window tables for Straus multi-exponentiation
 // over a fixed slice of ciphertext bases (one weight-matrix column, say).
 // Build once with PrecomputeDot, evaluate with Dot for each exponent vector.
+// Every table entry is stored in Montgomery form (mont.go) in one contiguous
+// limb slab, and the chains multiply in that form.
 //
 // When a SecretOps is registered for the key at build time, the tables are
 // built modulo p² and q² instead of N² and Dot runs two half-width squaring
 // chains recombined once per evaluation — the CRT split for decrypt-adjacent
 // matmuls. The recombined result is bit-identical to the public-path Dot.
 type DotTables struct {
-	pk   *PublicKey
-	w    uint
-	tabs [][]*big.Int // tabs[i][d] = cs[i]^d mod N², d = 1..2^w−1 (index 0 unused)
+	w      uint
+	bases  int
+	so     *SecretOps // non-nil selects the CRT dual-chain mode
+	halves []dotHalf  // one chain mod N², or two mod p² and q² (CRT mode)
+	slab   []big.Word // backing store of every half's tables
+}
 
-	so           *SecretOps   // non-nil selects the CRT dual-chain mode
-	tabsP, tabsQ [][]*big.Int // cs[i]^d mod p², mod q² (CRT mode)
+// dotHalf is the window tables of one chain modulus. Entry d (1..2^w−1) of
+// base i, cs[i]^d·R mod m, sits at tab[(i·(2^w−1)+d−1)·n:][:n].
+type dotHalf struct {
+	mc  *mont
+	tab []big.Word
 }
 
 // Window reports the table's Straus window width.
 func (t *DotTables) Window() uint { return t.w }
 
-// Bytes estimates the tables' memory footprint (the CRT layout's two
-// half-size residues cost the same as one full-size one).
-func (t *DotTables) Bytes() int64 {
-	bases := len(t.tabs)
-	if t.so != nil {
-		bases = len(t.tabsP)
+// Bytes reports the tables' memory footprint: the length of the limb slab.
+func (t *DotTables) Bytes() int64 { return int64(len(t.slab)) * wordBytes }
+
+// dotModuli lists the chain moduli PrecomputeDot builds tables for under pk:
+// N², or p² and q² when a SecretOps is registered.
+func dotModuli(pk *PublicKey) (*SecretOps, []*big.Int) {
+	if so := SecretOpsFor(pk); so != nil {
+		return so, []*big.Int{so.sk.p2, so.sk.q2}
 	}
-	return int64(bases) * int64((1<<t.w)-1) * fixedBaseEntryBytes(t.pk.N2)
+	return nil, []*big.Int{pk.N2}
 }
 
-// precomputeHalf builds width-w power tables for bases reduced mod m.
-func precomputeHalf(cs []*Ciphertext, w uint, m *big.Int) [][]*big.Int {
-	tabs := make([][]*big.Int, len(cs))
-	size := 1 << w
-	for i, c := range cs {
-		tab := make([]*big.Int, size)
-		tab[1] = new(big.Int).Mod(c.C, m)
-		for d := 2; d < size; d++ {
-			tab[d] = new(big.Int).Mul(tab[d-1], tab[1])
-			tab[d].Mod(tab[d], m)
-		}
-		tabs[i] = tab
+// DotTablesBytes reports the exact Bytes of the tables PrecomputeDot would
+// build for the given number of bases and window width under pk's current
+// SecretOps registration, so callers can size caches before building.
+func (pk *PublicKey) DotTablesBytes(bases int, w uint) int64 {
+	_, mods := dotModuli(pk)
+	limbs := 0
+	for _, m := range mods {
+		limbs += montLimbs(m)
 	}
-	return tabs
+	return int64(bases) * int64((1<<w)-1) * int64(limbs) * wordBytes
+}
+
+// precomputeHalf fills h.tab with the width-w power tables of the bases.
+func precomputeHalf(cs []*Ciphertext, w uint, h *dotHalf) {
+	n := h.mc.limbs()
+	per := ((1 << w) - 1) * n
+	scratch := make([]big.Word, h.mc.scratchWords())
+	for i, c := range cs {
+		tab := h.tab[i*per : (i+1)*per]
+		h.mc.to(tab[:n], c.C, scratch)
+		h.mc.powers(tab, scratch)
+	}
 }
 
 // PrecomputeDot builds Straus window tables of width w for the given bases.
 // The tables hold len(cs)·(2^w−1) residues mod N², so callers choose w via
 // dotWindow-style reasoning: wider windows pay off when the tables are reused
 // across many Dot calls (the hetensor table cache goes up to MaxDotWindow).
+// It panics on a key whose N² is even: Montgomery form needs an odd modulus.
 func (pk *PublicKey) PrecomputeDot(cs []*Ciphertext, w uint) *DotTables {
 	if w < 1 || w > MaxDotWindow {
 		panic(fmt.Sprintf("paillier: PrecomputeDot window %d out of range [1,%d]", w, MaxDotWindow))
 	}
-	t := &DotTables{pk: pk, w: w}
-	if so := SecretOpsFor(pk); so != nil {
-		t.so = so
-		t.tabsP = precomputeHalf(cs, w, so.sk.p2)
-		t.tabsQ = precomputeHalf(cs, w, so.sk.q2)
-		return t
+	so, mods := dotModuli(pk)
+	t := &DotTables{w: w, bases: len(cs), so: so, halves: make([]dotHalf, len(mods))}
+	entries := len(cs) * ((1 << w) - 1)
+	words := 0
+	for i, m := range mods {
+		t.halves[i].mc = newMont(m, "PrecomputeDot")
+		words += entries * t.halves[i].mc.limbs()
 	}
-	t.tabs = precomputeHalf(cs, w, pk.N2)
+	t.slab = make([]big.Word, words)
+	rest := t.slab
+	for i := range t.halves {
+		h := &t.halves[i]
+		size := entries * h.mc.limbs()
+		h.tab, rest = rest[:size:size], rest[size:]
+		precomputeHalf(cs, w, h)
+	}
 	return t
 }
 
@@ -186,12 +213,8 @@ func (pk *PublicKey) PrecomputeDot(cs []*Ciphertext, w uint) *DotTables {
 // vectors are cheap). Negative factors accumulate into a separate
 // denominator inverted once at the end.
 func (t *DotTables) Dot(es []SignedExp) *Ciphertext {
-	nbases := len(t.tabs)
-	if t.so != nil {
-		nbases = len(t.tabsP)
-	}
-	if len(es) != nbases {
-		panic(fmt.Sprintf("paillier: Dot over %d exponents for %d bases", len(es), nbases))
+	if len(es) != t.bases {
+		panic(fmt.Sprintf("paillier: Dot over %d exponents for %d bases", len(es), t.bases))
 	}
 	maxBits := 0
 	for i := range es {
@@ -211,32 +234,35 @@ func (t *DotTables) Dot(es []SignedExp) *Ciphertext {
 	if t.so != nil {
 		// CRT dual chain: the shared squaring chain runs twice at half
 		// width (≈¼ the per-multiplication cost each), recombined once.
-		posP, negP := strausChain(t.tabsP, es, maxBits, t.w, t.so.sk.p2)
-		posQ, negQ := strausChain(t.tabsQ, es, maxBits, t.w, t.so.sk.q2)
-		xp := combineDotHalf(posP, negP, t.so.sk.p2)
-		xq := combineDotHalf(posQ, negQ, t.so.sk.q2)
+		xp := strausChain(&t.halves[0], es, maxBits, t.w)
+		xq := strausChain(&t.halves[1], es, maxBits, t.w)
 		return &Ciphertext{C: t.so.combine(xp, xq)}
 	}
-	n2 := t.pk.N2
-	pos, neg := strausChain(t.tabs, es, maxBits, t.w, n2)
-	return &Ciphertext{C: combineDotHalf(pos, neg, n2)}
+	return &Ciphertext{C: strausChain(&t.halves[0], es, maxBits, t.w)}
 }
 
-// strausChain runs one Straus interleaved chain over width-w tables mod m,
-// returning the positive- and negative-factor accumulators (nil when that
-// sign never contributed). pos and neg stay nil until their first
-// contribution so leading all-zero window columns cost nothing.
-func strausChain(tabs [][]*big.Int, es []SignedExp, maxBits int, width uint, m *big.Int) (pos, neg *big.Int) {
+// strausChain runs one Straus interleaved chain over the width-w tables of
+// one modulus m and returns pos·neg⁻¹ mod m, where pos and neg accumulate
+// the positive and negative factors. The accumulators stay in Montgomery
+// form in one buffer allocated per call, and each stays unset until its
+// first contribution so leading all-zero window columns cost nothing.
+func strausChain(h *dotHalf, es []SignedExp, maxBits int, width uint) *big.Int {
+	mc := h.mc
+	n := mc.limbs()
 	w := int(width)
+	per := ((1 << width) - 1) * n
+	buf := make([]big.Word, 2*n+mc.scratchWords())
+	pos, neg, scratch := buf[:n], buf[n:2*n], buf[2*n:]
+	var havePos, haveNeg bool
 	digits := (maxBits + w - 1) / w
 	for d := digits - 1; d >= 0; d-- {
-		if pos != nil || neg != nil {
+		if havePos || haveNeg {
 			for s := 0; s < w; s++ {
-				if pos != nil {
-					pos.Mul(pos, pos).Mod(pos, m)
+				if havePos {
+					mc.mul(pos, pos, pos, scratch)
 				}
-				if neg != nil {
-					neg.Mul(neg, neg).Mod(neg, m)
+				if haveNeg {
+					mc.mul(neg, neg, neg, scratch)
 				}
 			}
 		}
@@ -249,39 +275,30 @@ func strausChain(tabs [][]*big.Int, es []SignedExp, maxBits int, width uint, m *
 			if dig == 0 {
 				continue
 			}
-			f := tabs[i][dig]
+			f := h.tab[i*per+int(dig-1)*n:][:n]
+			acc, have := pos, &havePos
 			if es[i].Neg {
-				if neg == nil {
-					neg = new(big.Int).Set(f)
-				} else {
-					neg.Mul(neg, f).Mod(neg, m)
-				}
+				acc, have = neg, &haveNeg
+			}
+			if *have {
+				mc.mul(acc, acc, f, scratch)
 			} else {
-				if pos == nil {
-					pos = new(big.Int).Set(f)
-				} else {
-					pos.Mul(pos, f).Mod(pos, m)
-				}
+				copy(acc, f)
+				*have = true
 			}
 		}
 	}
-	return pos, neg
-}
-
-// combineDotHalf folds one chain's accumulators into pos·neg⁻¹ mod m.
-func combineDotHalf(pos, neg, m *big.Int) *big.Int {
-	switch {
-	case pos == nil && neg == nil:
-		return big.NewInt(1)
-	case pos == nil:
-		return mustInverse(neg, m, "Dot")
-	case neg == nil:
-		return pos
-	default:
-		inv := mustInverse(neg, m, "Dot")
-		pos.Mul(pos, inv).Mod(pos, m)
-		return pos
+	// maxBits > 0, so the top digit column set at least one accumulator.
+	if !haveNeg {
+		return mc.from(pos, scratch)
 	}
+	inv := mustInverse(mc.from(neg, scratch), mc.mod, "Dot")
+	if !havePos {
+		return inv
+	}
+	// pos·R times the plain inverse, reduced once: pos·neg⁻¹ in plain form.
+	mc.mul(neg, pos, mc.pad(inv), scratch)
+	return new(big.Int).SetBits(append([]big.Word(nil), neg...))
 }
 
 // DotRow computes the encrypted dot product ⟦Σ kᵢ·mᵢ⟧ = Π cᵢ^{kᵢ} for one
