@@ -15,10 +15,11 @@ test:
 	$(GO) test -short -race -timeout 10m ./...
 
 # Parallelism lane: the process-wide table cache, pool condition-variable
-# wait and SecretOps/pool registries re-run under the race detector at 1 and
-# 4 CPUs, so single-core schedules and real parallelism are both exercised.
+# wait, SecretOps/pool registries and the SecureML triple generator's
+# parallel cross terms re-run under the race detector at 1 and 4 CPUs, so
+# single-core schedules and real parallelism are both exercised.
 test-cpu:
-	$(GO) test -short -race -timeout 10m -cpu 1,4 ./internal/paillier/ ./internal/hetensor/
+	$(GO) test -short -race -timeout 10m -cpu 1,4 ./internal/paillier/ ./internal/hetensor/ ./internal/secureml/
 
 # Full lane: everything, including the ~4 min federated model suite.
 test-full:
@@ -37,9 +38,10 @@ test-chaos:
 
 # Kernel fuzz lane: the Montgomery core, the Straus dot tables (public and
 # CRT), the fixed-base combs and the CRT exponentiation, each fuzzed against
-# big.Int for FUZZTIME. go test accepts one -fuzz target per run.
+# big.Int, and the p-only signed decryption against the full CRT Decrypt,
+# for FUZZTIME. go test accepts one -fuzz target per run.
 FUZZTIME ?= 15s
-KERNEL_FUZZ = FuzzMontMul FuzzDotTables FuzzFixedBaseExp FuzzExpCRT
+KERNEL_FUZZ = FuzzMontMul FuzzDotTables FuzzFixedBaseExp FuzzExpCRT FuzzDecryptSigned
 
 fuzz-kernels:
 	@for f in $(KERNEL_FUZZ); do \
@@ -67,14 +69,14 @@ bench-smoke:
 # Benchmarks as data: the exponentiation-engine and amortized-precompute
 # perf suites at a production key size, the end-to-end fed-step, fed-epoch,
 # multi-party, sharded-label-party and serve rows, written to
-# BENCH_PR12.json (format: internal/bench/README.md). Since PR 8 every row
+# BENCH_PR13.json (format: internal/bench/README.md). Since PR 8 every row
 # with a baseline config also carries a ratio column, and the file opens
 # with a fixed-operand calibration op — absolute ns on a shared host swing
 # 2× run to run, so the trajectory is judged on ratios, with the calibration
 # row bounding how much of a cross-file delta is machine. Earlier points of
-# the trajectory (BENCH_PR3.json..BENCH_PR10.json) are kept, not rewritten.
+# the trajectory (BENCH_PR3.json..BENCH_PR12.json) are kept, not rewritten.
 bench-json:
-	$(GO) run ./cmd/blindfl-bench -perf BENCH_PR12.json -keybits 2048
+	$(GO) run ./cmd/blindfl-bench -perf BENCH_PR13.json -keybits 2048
 
 # Shard smoke lane: two real blindfl-shard worker processes on loopback TCP
 # plus a 2-shard blindfl-train run against them — the multi-process wiring

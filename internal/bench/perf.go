@@ -66,6 +66,7 @@ var perfBaselines = map[string]string{
 	"mulplain_neg_scalar":       "textbook",
 	"dot16":                     "textbook",
 	"encrypt_blinding":          "fullwidth",
+	"decrypt":                   "crt",
 	"mulplainleft_dense_8x16x2": "textbook",
 	"blinding_refill_shortexp":  "bigint_exp",
 	"mulplain_fullwidth":        "public",
@@ -217,6 +218,26 @@ func RunPerfKernels(keyBits int) ([]PerfResult, error) {
 				}
 			}
 		}))
+
+	// Decryption of a negative ~92-bit plaintext, the size of an HE2SS share
+	// cell: the full CRT path (a bound too wide for p alone) vs the p half
+	// alone that the small-plaintext bound selects. Same call, same
+	// ciphertext; only the bound differs.
+	small := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), 92))
+	cSmall, err := pk.Encrypt(rand.Reader, new(big.Int).Sub(pk.N, small))
+	if err != nil {
+		return nil, err
+	}
+	for _, cfg := range []struct {
+		name string
+		bits int
+	}{{"crt", keyBits}, {"p_half", 93}} {
+		out = append(out, perfRun("decrypt", cfg.name, keyBits, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sk.DecryptSigned(cSmall, cfg.bits)
+			}
+		}))
+	}
 
 	// Dense MatMul layer kernel (the fed-forward shape X·⟦W⟧), textbook vs
 	// engine. Sized down so a textbook iteration stays ~seconds at 2048 bits.

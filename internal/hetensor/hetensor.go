@@ -108,11 +108,14 @@ func Encrypt(pk *paillier.PublicKey, d *tensor.Dense, scale uint) *CipherMatrix 
 	return out
 }
 
-// Decrypt decrypts a cipher matrix back to float64 at its scale.
+// Decrypt decrypts a cipher matrix back to float64 at its scale. Each cell
+// holds one value bounded like a single packing lane, so it decrypts with
+// the one-lane plaintext bound (see plainBits).
 func Decrypt(sk *paillier.PrivateKey, m *CipherMatrix) *tensor.Dense {
 	out := tensor.NewDense(m.Rows, m.Cols)
+	bits := plainBits(packingFor(&sk.PublicKey).W, 1)
 	parallel.For(len(m.C), func(i int) {
-		out.Data[i] = Codec.DecodeRing(sk.Decrypt(m.C[i]), m.Scale, sk.N)
+		out.Data[i] = Codec.Decode(sk.DecryptSigned(m.C[i], bits), m.Scale)
 	})
 	return out
 }

@@ -148,6 +148,14 @@ func PackEncryptBlocks(pk *paillier.PublicKey, d *tensor.Dense, scale uint, bloc
 	return out
 }
 
+// plainBits bounds the signed plaintext of a ciphertext holding the given
+// number of W-bit lanes: every lane magnitude stays below 2^(W−1), so the
+// packed sum Σ vᵢ·2^(i·W) stays below 2^(lanes·W), and one bit of slack
+// goes on top. It is the bound paillier.PrivateKey.DecryptSigned takes, and
+// it picks that call's path: groups narrow enough to sit below p/2 decrypt
+// mod p alone.
+func plainBits(w uint, lanes int) int { return lanes*int(w) + 1 }
+
 // DecryptPacked decrypts a packed matrix back to float64 at its scale.
 func DecryptPacked(sk *paillier.PrivateKey, m *PackedMatrix) *tensor.Dense {
 	out := tensor.NewDense(m.Rows, m.Cols)
@@ -157,7 +165,7 @@ func DecryptPacked(sk *paillier.PrivateKey, m *PackedMatrix) *tensor.Dense {
 		i, g := t/gpr, t%gpr
 		col := m.groupCol(g)
 		lanes := m.laneCount(g)
-		vals := lc.UnpackRing(sk.Decrypt(m.C[t]), lanes, m.Scale, sk.N)
+		vals := lc.Unpack(sk.DecryptSigned(m.C[t], plainBits(m.W, lanes)), lanes, m.Scale)
 		copy(out.Row(i)[col:col+lanes], vals)
 	})
 	return out

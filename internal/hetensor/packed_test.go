@@ -2,8 +2,10 @@ package hetensor
 
 import (
 	"crypto/rand"
+	"math/big"
 	"testing"
 
+	"blindfl/internal/fixedpoint"
 	"blindfl/internal/paillier"
 	"blindfl/internal/tensor"
 )
@@ -19,6 +21,63 @@ func TestPackEncryptDecryptRoundTrip(t *testing.T) {
 		got := DecryptPacked(testKey, m)
 		if !got.Equal(d, 1e-6) {
 			t.Fatalf("cols=%d round trip mismatch: %v vs %v", cols, got.Data, d.Data)
+		}
+	}
+}
+
+// TestDecryptPackedMatchesFullDecrypt checks both packed decrypt paths
+// against per-cell UnpackRing/UnpackInts of the full CRT Decrypt, for lane
+// values up to the layout's ±(2^(W−1)−1). At the 512-bit test key one and
+// two lanes sit below p/2 and decrypt mod p alone; three lanes need the
+// full decryption.
+func TestDecryptPackedMatchesFullDecrypt(t *testing.T) {
+	sk, pk := testKey, &testKey.PublicKey
+	lc := packingFor(pk)
+	if pOnly := sk.N.BitLen()/2 - 2; plainBits(lc.W, 2) > pOnly || plainBits(lc.W, 3) <= pOnly {
+		t.Fatalf("lane width %d no longer splits the decrypt paths between 2 and 3 lanes", lc.W)
+	}
+	rng := mrandNew(33)
+	maxLane := new(big.Int).Lsh(big.NewInt(1), lc.W-1)
+	maxLane.Sub(maxLane, big.NewInt(1))
+	for lanes := 1; lanes <= 3; lanes++ {
+		m := NewPackedMatrix(pk, 4, lanes, lanes, 2)
+		for i := 0; i < m.Rows; i++ {
+			vals := make([]*big.Int, lanes)
+			for l := range vals {
+				switch i {
+				case 0:
+					vals[l] = new(big.Int).Set(maxLane)
+				case 1:
+					vals[l] = new(big.Int).Neg(maxLane)
+				case 2:
+					vals[l] = new(big.Int)
+				default:
+					vals[l] = new(big.Int).Rand(rng, maxLane)
+					if rng.Intn(2) == 0 {
+						vals[l].Neg(vals[l])
+					}
+				}
+			}
+			c, err := pk.Encrypt(rand.Reader, fixedpoint.ToRing(lc.PackEncoded(vals), pk.N))
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.C[i] = c
+		}
+		ints := DecryptPackedInts(sk, m)
+		floats := DecryptPacked(sk, m)
+		for i, c := range m.C {
+			full := sk.Decrypt(c)
+			wantInts := lc.UnpackInts(fixedpoint.FromRing(full, pk.N), lanes)
+			wantFloats := lc.UnpackRing(full, lanes, m.Scale, pk.N)
+			for l := 0; l < lanes; l++ {
+				if ints.At(i, l).Cmp(wantInts[l]) != 0 {
+					t.Errorf("%d lanes, row %d lane %d: DecryptPackedInts %v, want %v", lanes, i, l, ints.At(i, l), wantInts[l])
+				}
+				if floats.At(i, l) != wantFloats[l] {
+					t.Errorf("%d lanes, row %d lane %d: DecryptPacked %v, want %v", lanes, i, l, floats.At(i, l), wantFloats[l])
+				}
+			}
 		}
 	}
 }

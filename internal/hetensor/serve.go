@@ -191,7 +191,7 @@ func DecryptPackedInts(sk *paillier.PrivateKey, m *PackedMatrix) *BigMatrix {
 		i, g := t/gpr, t%gpr
 		col := m.groupCol(g)
 		lanes := m.laneCount(g)
-		vals := lc.UnpackInts(fixedpoint.FromRing(sk.Decrypt(m.C[t]), sk.N), lanes)
+		vals := lc.UnpackInts(sk.DecryptSigned(m.C[t], plainBits(m.W, lanes)), lanes)
 		copy(out.V[i*m.Cols+col:i*m.Cols+col+lanes], vals)
 	})
 	return out

@@ -61,7 +61,7 @@ func EncryptRows(pk *paillier.PublicKey, d *tensor.Dense, rows []int, scale uint
 		dst := out.Row(i)
 		for j, v := range src {
 			m := Codec.EncodeRing(v, scale, pk.N)
-			c, err := pk.Encrypt(paillier.Rand, m)
+			c, err := paillier.EncryptPooled(pk, m)
 			if err != nil {
 				panic(fmt.Sprintf("hetensor: EncryptRows: %v", err))
 			}

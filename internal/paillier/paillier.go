@@ -9,7 +9,15 @@
 //	k·⟦v⟧    = ⟦k·v⟧   — scalar multiplication (MulPlain)
 //
 // Plaintexts are elements of Z_n; callers encode signed fixed-point values
-// via the fixedpoint package. The implementation uses g = n+1, so encryption
+// via the fixedpoint package.
+//
+// DecryptSigned is the bulk decryption of those values: it returns the
+// signed plaintext (values above n/2 negative) given a bound |v| < 2^bits
+// the caller's layout guarantees. Any |v| < p/2 is determined by its residue
+// mod the prime factor p, so when bits ≤ p.BitLen()−2 it runs only the p
+// half of the CRT decryption — one exponentiation mod p² instead of two plus
+// the recombination, about half the cost. Wider bounds fall back to Decrypt,
+// which stays the full CRT reference path. The implementation uses g = n+1, so encryption
 // costs one n-bit exponentiation (the random blinding r^n) plus two
 // multiplications.
 //
@@ -52,8 +60,9 @@
 // math/big explicitly permits, because the same loop written over
 // math/bits in pure Go is slower than the big.Int.Mul+Mod it replaces.
 // Products are fully reduced, so the kernels return exactly the integers
-// Mul+Mod would. Encrypt, Decrypt, ExpCRT and the textbook ablation stay
-// on big.Int.Exp, which already reduces in Montgomery form in assembly.
+// Mul+Mod would. Encrypt, Decrypt, DecryptSigned, ExpCRT and the textbook
+// ablation stay on big.Int.Exp, which already reduces in Montgomery form in
+// assembly.
 package paillier
 
 import (
@@ -226,15 +235,8 @@ func randUnit(random io.Reader, n *big.Int) (*big.Int, error) {
 // Decrypt recovers the plaintext of c using CRT: decrypt modulo p and q
 // separately, then recombine.
 func (sk *PrivateKey) Decrypt(c *Ciphertext) *big.Int {
-	// mp = L_p(c^(p−1) mod p²)·hp mod p
-	cp := new(big.Int).Exp(c.C, sk.pOrder, sk.p2)
-	mp := lFunc(cp, sk.p)
-	mp.Mul(mp, sk.hp)
-	mp.Mod(mp, sk.p)
-	cq := new(big.Int).Exp(c.C, sk.qOrder, sk.q2)
-	mq := lFunc(cq, sk.q)
-	mq.Mul(mq, sk.hq)
-	mq.Mod(mq, sk.q)
+	mp := decryptMod(c, sk.p, sk.p2, sk.pOrder, sk.hp)
+	mq := decryptMod(c, sk.q, sk.q2, sk.qOrder, sk.hq)
 	// CRT combine: m = mq + q·((mp − mq)·qInvP mod p)
 	d := new(big.Int).Sub(mp, mq)
 	d.Mul(d, sk.qInvP)
@@ -242,6 +244,38 @@ func (sk *PrivateKey) Decrypt(c *Ciphertext) *big.Int {
 	m := d.Mul(d, sk.q)
 	m.Add(m, mq)
 	m.Mod(m, sk.N)
+	return m
+}
+
+// decryptMod returns the plaintext of c modulo one prime factor r of N:
+// L_r(c^(r−1) mod r²)·h mod r, one exponentiation mod r².
+func decryptMod(c *Ciphertext, r, r2, order, h *big.Int) *big.Int {
+	cr := new(big.Int).Exp(c.C, order, r2)
+	m := lFunc(cr, r)
+	m.Mul(m, h)
+	return m.Mod(m, r)
+}
+
+// DecryptSigned returns the plaintext of c as a signed integer, taking
+// values above N/2 as negative (fixedpoint.FromRing of Decrypt), for a
+// caller that knows |m| < 2^bits. When bits ≤ p.BitLen()−2 the plaintext is
+// below p/2 in magnitude, so its residue mod p alone determines it: one
+// exponentiation mod p², centred into (−p/2, p/2), replaces the two of the
+// CRT decryption and the recombination. Wider bounds take Decrypt. The
+// bound is the caller's promise and is not checked: the p-only result is
+// still exact for any |m| < p/2, but a plaintext beyond that decrypts to
+// its centred residue mod p, not to what Decrypt returns, so a comparison
+// against Decrypt (the protocol's integrity spot-check) exposes it.
+func (sk *PrivateKey) DecryptSigned(c *Ciphertext, bits int) *big.Int {
+	var m, r *big.Int
+	if bits <= sk.p.BitLen()-2 {
+		m, r = decryptMod(c, sk.p, sk.p2, sk.pOrder, sk.hp), sk.p
+	} else {
+		m, r = sk.Decrypt(c), sk.N
+	}
+	if m.Cmp(new(big.Int).Rsh(r, 1)) > 0 {
+		m.Sub(m, r)
+	}
 	return m
 }
 

@@ -6,6 +6,8 @@ import (
 	mrand "math/rand"
 	"testing"
 	"testing/quick"
+
+	"blindfl/internal/fixedpoint"
 )
 
 // testKey is generated once; 512 bits keeps the suite fast while exercising
@@ -156,6 +158,35 @@ func TestDecryptTextbookMatchesCRT(t *testing.T) {
 			t.Fatalf("m=%d: CRT %v != textbook %v", m, crt, tb)
 		}
 	}
+}
+
+// FuzzDecryptSigned checks DecryptSigned against the reference Decrypt
+// followed by FromRing for a plaintext |m| < 2^bits. bits is reduced to
+// [0, N.BitLen()−2], so both sides of the p.BitLen()−2 threshold (254 at the
+// 512-bit test key) are reached; raw all-ones bytes give m = ±(2^bits−1).
+func FuzzDecryptSigned(f *testing.F) {
+	f.Add(uint16(0), []byte{}, false)
+	f.Add(uint16(254), []byte{0xff}, true)
+	k := testKey
+	limit := k.N.BitLen() - 2
+	f.Fuzz(func(t *testing.T, rawBits uint16, raw []byte, neg bool) {
+		if len(raw) > 128 {
+			return
+		}
+		bits := int(rawBits) % (limit + 1)
+		bound := new(big.Int).Lsh(one, uint(bits))
+		m := new(big.Int).SetBytes(raw)
+		m.And(m, bound.Sub(bound, one)) // |m| ≤ 2^bits − 1
+		if neg {
+			m.Neg(m)
+		}
+		c := encT(t, &k.PublicKey, fixedpoint.ToRing(m, k.N))
+		want := fixedpoint.FromRing(k.Decrypt(c), k.N)
+		got := k.DecryptSigned(c, bits)
+		if got.Cmp(want) != 0 || got.Cmp(m) != 0 {
+			t.Fatalf("DecryptSigned(bits %d) = %v, Decrypt+FromRing = %v, plaintext %v", bits, got, want, m)
+		}
+	})
 }
 
 func TestEncryptZero(t *testing.T) {

@@ -214,9 +214,14 @@ func crossTermHE(rng *rand.Rand, owner *paillier.PrivateKey, a, b *Ring) (*Ring,
 		}
 		encB[i] = c
 	})
-	// Multiplier computes ⟦A·B⟧ row by row and masks it.
+	// Multiplier computes ⟦A·B⟧ row by row and masks it. The masks are
+	// drawn serially in (i, j) order: rng is not safe for concurrent use,
+	// and a fixed draw order keeps the triple a function of the seed.
 	n, d, m := a.Rows, a.Cols, b.Cols
 	mask := NewRing(n, m)
+	for i := range mask.V {
+		mask.V[i] = rng.Uint64()
+	}
 	ownerShare := NewRing(n, m)
 	parallel.For(n, func(i int) {
 		for j := 0; j < m; j++ {
@@ -228,8 +233,7 @@ func crossTermHE(rng *rand.Rand, owner *paillier.PrivateKey, a, b *Ring) (*Ring,
 				}
 				acc = pk.AddCipher(acc, pk.MulPlain(encB[k*m+j], new(big.Int).SetUint64(aik)))
 			}
-			r := rng.Uint64()
-			mask.V[i*m+j] = r
+			r := mask.V[i*m+j]
 			// ⟦A·B − r + 2¹⁹²⟧: the 2¹⁹² offset (a multiple of 2⁶⁴, far
 			// above any attainable |A·B − r|) keeps the plaintext positive
 			// in Z_N so that reducing the decryption mod 2⁶⁴ yields exactly
