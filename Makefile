@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-cpu test-full test-chaos fuzz-kernels bench bench-smoke bench-json serve-smoke shard-smoke examples fmt fmt-check vet lint lint-tools
+.PHONY: build test test-cpu test-full test-chaos fuzz-kernels bench bench-smoke bench-json bench-selftest serve-smoke shard-smoke examples fmt fmt-check vet lint lint-tools
 
 build:
 	$(GO) build ./...
@@ -69,14 +69,28 @@ bench-smoke:
 # Benchmarks as data: the exponentiation-engine and amortized-precompute
 # perf suites at a production key size, the end-to-end fed-step, fed-epoch,
 # multi-party, sharded-label-party and serve rows, written to
-# BENCH_PR13.json (format: internal/bench/README.md). Since PR 8 every row
+# BENCH_PR14.json (format: internal/bench/README.md). Every row
 # with a baseline config also carries a ratio column, and the file opens
 # with a fixed-operand calibration op — absolute ns on a shared host swing
 # 2× run to run, so the trajectory is judged on ratios, with the calibration
 # row bounding how much of a cross-file delta is machine. Earlier points of
-# the trajectory (BENCH_PR3.json..BENCH_PR12.json) are kept, not rewritten.
+# the trajectory (BENCH_PR3.json..BENCH_PR13.json) are kept, not rewritten.
 bench-json:
-	$(GO) run ./cmd/blindfl-bench -perf BENCH_PR13.json -keybits 2048
+	$(GO) run ./cmd/blindfl-bench -perf BENCH_PR14.json -keybits 2048
+
+# Benchmark self-test lane: blindbench is its own Go module, so the root
+# `go test ./...` never builds it. Run every workload in --smoke mode
+# (512-bit keys, tiny shapes), untraced and traced, failing unless each
+# result line reports "correct":true, then the module's own unit tests.
+BENCH_WORKLOADS = train-dense train-sparse-cat serve-open
+
+bench-selftest:
+	@for w in $(BENCH_WORKLOADS); do for t in 0 1; do \
+		echo "blindbench --workload $$w --trace $$t --smoke"; \
+		out=$$(bash blindbench/run.sh --workload $$w --seed 1 --seconds 3 --smoke --trace $$t) || exit 1; \
+		echo "$$out" | tail -n 1 | grep -q '"correct":true' || { echo "$$out"; echo "blindbench $$w trace=$$t: not correct"; exit 1; }; \
+	done; done
+	cd blindbench && $(GO) test ./...
 
 # Shard smoke lane: two real blindfl-shard worker processes on loopback TCP
 # plus a 2-shard blindfl-train run against them — the multi-process wiring

@@ -74,6 +74,8 @@ func main() {
 		if *fedstep {
 			fmt.Println("running packed fed-step engine/textbook pair (512-bit test keys)...")
 			results = append(results, bench.RunPerfFedStep()...)
+			fmt.Println("running unpacked/packed WDL fed-step pair (512-bit test keys)...")
+			results = append(results, bench.RunPerfFedStepEmbed()...)
 			fmt.Println("running cold/warm table-cache fed-epoch pair (512-bit test keys)...")
 			results = append(results, bench.RunPerfFedEpoch()...)
 			fmt.Println("running multi-party fed-step k=3/k=1 pair (512-bit test keys)...")

@@ -15,6 +15,7 @@ import (
 	"blindfl/internal/data"
 	"blindfl/internal/engine"
 	"blindfl/internal/hetensor"
+	"blindfl/internal/model"
 	"blindfl/internal/paillier"
 	"blindfl/internal/protocol"
 	"blindfl/internal/tensor"
@@ -73,6 +74,7 @@ var perfBaselines = map[string]string{
 	"pool_lookup":               "string_key",
 	"fedepoch_forward":          "uncached",
 	"fedstep_packed":            "textbook",
+	"fedstep_embed":             "unpacked",
 	"fedstep_multiparty":        "k1",
 	"fedstep_sharded":           "shards1",
 	"serve_throughput":          "sequential",
@@ -456,6 +458,60 @@ func RunPerfFedStep() []PerfResult {
 		step := NewBlindFLStepperOpts(spec, 32, 4, StepperOpts{Options: engine.Options{Packed: true, Textbook: cfg.textbook, SpotCheck: cfg.spotcheck}})
 		step() // warm-up outside the measurement
 		out = append(out, perfRun("fedstep_packed", cfg.name, 512, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				step()
+			}
+		}))
+	}
+	return out
+}
+
+// RunPerfFedStepEmbed benchmarks one WDL training step — the SparseMatMul
+// and Embed-MatMul source layers plus the plaintext head, both parties
+// in-process at 512-bit test keys — with ciphertext packing off (the
+// baseline) and on. The shapes follow the train-sparse-cat benchmark
+// workload (Embed-MatMul output width 4), where the packed Embed-MatMul
+// forward halves decrypt one four-lane group per row instead of four cells.
+func RunPerfFedStepEmbed() []PerfResult {
+	spec := data.Spec{Name: "bench-embed", Feats: 64, AvgNNZ: 8, Classes: 2, Train: 256, Test: 64,
+		CatFields: 4, CatVocab: 16}
+	ds := data.Generate(spec, 13)
+	idx := data.BatchIndices(ds.TrainA.Rows(), 32)[0]
+	partA, partB := ds.TrainA.Batch(idx), ds.TrainB.Batch(idx)
+	y := make([]int, len(idx))
+	for i, r := range idx {
+		y[i] = ds.TrainY[r]
+	}
+	skA, skB := protocol.TestKeys()
+	var out []PerfResult
+	for _, cfg := range []struct {
+		name   string
+		packed bool
+	}{{"unpacked", false}, {"packed", true}} {
+		pa, pb, err := protocol.Pipe(skA, skB, 7)
+		if err != nil {
+			panic(err)
+		}
+		h := model.DefaultHyper()
+		h.Hidden, h.EmbDim = []int{4}, 4
+		h.Options = engine.Options{Packed: cfg.packed}
+		h.SetupKeys(skA, skB)
+		runStep := func(fa, fb func()) {
+			if err := protocol.RunParties(pa, pb, fa, fb); err != nil {
+				panic(err)
+			}
+		}
+		var fa *model.FedA
+		var fb *model.FedB
+		runStep(
+			func() { fa = model.NewFedA(pa, model.WDL, ds, h) },
+			func() { fb = model.NewFedB(pb, model.WDL, ds, h) },
+		)
+		step := func() {
+			runStep(func() { fa.StepA(partA) }, func() { fb.StepB(partB, y) })
+		}
+		step() // warm-up outside the measurement
+		out = append(out, perfRun("fedstep_embed", cfg.name, 512, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				step()
 			}

@@ -105,7 +105,7 @@ type embedAState struct {
 	Cfg                        EmbedConfig
 	SA, TB, UA, VB             *tensor.Dense
 	EncTA, EncVA, EncUB        *hetensor.CipherMatrix
-	PackTA                     *hetensor.PackedMatrix
+	PackTA, PackVA, PackUB     *hetensor.PackedMatrix
 	MomSA, MomTB, MomUA, MomVB *tensor.Dense
 }
 
@@ -113,7 +113,8 @@ type embedAState struct {
 func (l *EmbedMatMulA) Save(w io.Writer) error {
 	st := embedAState{Cfg: l.cfg,
 		SA: l.SA, TB: l.TB, UA: l.UA, VB: l.VB,
-		EncTA: l.encTA, EncVA: l.encVA, EncUB: l.encUB, PackTA: l.packTA,
+		EncTA: l.encTA, EncVA: l.encVA, EncUB: l.encUB,
+		PackTA: l.packTA, PackVA: l.packVA, PackUB: l.packUB,
 		MomSA: l.momSA.buf, MomTB: l.momTB.buf, MomUA: l.momUA.buf, MomVB: l.momVB.buf}
 	if err := gob.NewEncoder(w).Encode(&st); err != nil {
 		return fmt.Errorf("core: save EmbedMatMulA: %w", err)
@@ -132,14 +133,17 @@ func LoadEmbedMatMulA(r io.Reader, p *protocol.Peer) (*EmbedMatMulA, error) {
 			c.PK = p.PeerPK
 		}
 	}
-	if st.PackTA != nil {
-		st.PackTA.PK = p.PeerPK
+	for _, c := range []*hetensor.PackedMatrix{st.PackTA, st.PackVA, st.PackUB} {
+		if c != nil {
+			c.PK = p.PeerPK
+		}
 	}
 	mu := st.Cfg.Momentum
 	return &EmbedMatMulA{
 		cfg: st.Cfg, peer: p,
 		SA: st.SA, TB: st.TB, UA: st.UA, VB: st.VB,
-		encTA: st.EncTA, encVA: st.EncVA, encUB: st.EncUB, packTA: st.PackTA,
+		encTA: st.EncTA, encVA: st.EncVA, encUB: st.EncUB,
+		packTA: st.PackTA, packVA: st.PackVA, packUB: st.PackUB,
 		momSA: momentum{mu: mu, buf: st.MomSA}, momTB: momentum{mu: mu, buf: st.MomTB},
 		momUA: momentum{mu: mu, buf: st.MomUA}, momVB: momentum{mu: mu, buf: st.MomVB},
 	}, nil
@@ -150,7 +154,7 @@ type embedBState struct {
 	Cfg                        EmbedConfig
 	SB, TA, UB, VA             *tensor.Dense
 	EncTB, EncVB, EncUA        *hetensor.CipherMatrix
-	PackTB                     *hetensor.PackedMatrix
+	PackTB, PackVB, PackUA     *hetensor.PackedMatrix
 	MomSB, MomTA, MomUB, MomVA *tensor.Dense
 }
 
@@ -158,7 +162,8 @@ type embedBState struct {
 func (l *EmbedMatMulB) Save(w io.Writer) error {
 	st := embedBState{Cfg: l.cfg,
 		SB: l.SB, TA: l.TA, UB: l.UB, VA: l.VA,
-		EncTB: l.encTB, EncVB: l.encVB, EncUA: l.encUA, PackTB: l.packTB,
+		EncTB: l.encTB, EncVB: l.encVB, EncUA: l.encUA,
+		PackTB: l.packTB, PackVB: l.packVB, PackUA: l.packUA,
 		MomSB: l.momSB.buf, MomTA: l.momTA.buf, MomUB: l.momUB.buf, MomVA: l.momVA.buf}
 	if err := gob.NewEncoder(w).Encode(&st); err != nil {
 		return fmt.Errorf("core: save EmbedMatMulB: %w", err)
@@ -177,14 +182,17 @@ func LoadEmbedMatMulB(r io.Reader, p *protocol.Peer) (*EmbedMatMulB, error) {
 			c.PK = p.PeerPK
 		}
 	}
-	if st.PackTB != nil {
-		st.PackTB.PK = p.PeerPK
+	for _, c := range []*hetensor.PackedMatrix{st.PackTB, st.PackVB, st.PackUA} {
+		if c != nil {
+			c.PK = p.PeerPK
+		}
 	}
 	mu := st.Cfg.Momentum
 	return &EmbedMatMulB{
 		cfg: st.Cfg, peer: p,
 		SB: st.SB, TA: st.TA, UB: st.UB, VA: st.VA,
-		encTB: st.EncTB, encVB: st.EncVB, encUA: st.EncUA, packTB: st.PackTB,
+		encTB: st.EncTB, encVB: st.EncVB, encUA: st.EncUA,
+		packTB: st.PackTB, packVB: st.PackVB, packUA: st.PackUA,
 		momSB: momentum{mu: mu, buf: st.MomSB}, momTA: momentum{mu: mu, buf: st.MomTA},
 		momUB: momentum{mu: mu, buf: st.MomUB}, momVA: momentum{mu: mu, buf: st.MomVA},
 	}, nil

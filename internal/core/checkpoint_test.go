@@ -62,10 +62,23 @@ func TestMatMulCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEmbedCheckpointRoundTrip saves and restores an Embed-MatMul pair
+// mid-training, unpacked and packed: every encrypted copy the forward and
+// backward passes read — the packed weight copies included — must survive
+// the gob state with its public key re-attached.
 func TestEmbedCheckpointRoundTrip(t *testing.T) {
+	for _, packed := range []bool{false, true} {
+		t.Run(map[bool]string{false: "unpacked", true: "packed"}[packed], func(t *testing.T) {
+			testEmbedCheckpointRoundTrip(t, packed)
+		})
+	}
+}
+
+func testEmbedCheckpointRoundTrip(t *testing.T, packed bool) {
 	pa, pb := pipe(t, 801)
 	cfg := embedTestCfg()
 	cfg.Momentum = 0.9
+	cfg.Packed = packed
 	la, lb := newEmbedPair(t, pa, pb, cfg)
 
 	rng := rand.New(rand.NewSource(3))

@@ -17,6 +17,15 @@ import (
 // encrypted piece ⟦T⋄⟧ run at party ⋄ (which knows its own indices) and the
 // results are converted to secret shares, so neither party ever obtains an
 // embedding row, an activation, or a derivative in the clear.
+//
+// Under Config.Packed the tables and the weight copies the forward matmul
+// halves multiply by travel packed along their output dimension, so each
+// forward HE2SS masks and decrypts K lanes per ciphertext. The weight
+// copies use the wide lane layout (hetensor.WideLanes): the forward
+// multiplies them by ψ or E−ψ, masked shares as large as the weight shares
+// themselves, whose products overflow the default lanes. The backward term
+// ∇Z·⟦V_B⟧ᵀ contracts over the lanes, so ⟦V_B⟧ also travels unpacked; the
+// rest of the backward pass does not depend on packing.
 
 // EmbedConfig extends Config with the embedding geometry of one party.
 type EmbedConfig struct {
@@ -40,6 +49,8 @@ type EmbedMatMulA struct {
 	packTA *hetensor.PackedMatrix // packed ⟦T_A⟧ when cfg.Packed
 	encVA  *hetensor.CipherMatrix // ⟦V_A⟧ under B's key
 	encUB  *hetensor.CipherMatrix // ⟦U_B⟧ under B's key
+	packVA *hetensor.PackedMatrix // wide-packed ⟦V_A⟧, replacing encVA when cfg.Packed
+	packUB *hetensor.PackedMatrix // wide-packed ⟦U_B⟧, replacing encUB when cfg.Packed
 
 	momSA, momTB, momUA, momVB momentum
 
@@ -61,8 +72,10 @@ type EmbedMatMulB struct {
 
 	encTB  *hetensor.CipherMatrix // ⟦T_B⟧ under A's key
 	packTB *hetensor.PackedMatrix // packed ⟦T_B⟧ when cfg.Packed
-	encVB  *hetensor.CipherMatrix // ⟦V_B⟧ under A's key
+	encVB  *hetensor.CipherMatrix // ⟦V_B⟧ under A's key, held in both modes
 	encUA  *hetensor.CipherMatrix // ⟦U_A⟧ under A's key
+	packVB *hetensor.PackedMatrix // wide-packed ⟦V_B⟧ when cfg.Packed
+	packUA *hetensor.PackedMatrix // wide-packed ⟦U_A⟧, replacing encUA when cfg.Packed
 
 	momSB, momTA, momUB, momVA momentum
 
@@ -73,7 +86,7 @@ type EmbedMatMulB struct {
 
 // NewEmbedMatMulA initializes Party A's half (Fig. 7 lines 1–4): A draws
 // S_A, T_B, U_A, V_B, ships ⟦T_B⟧, ⟦U_A⟧, ⟦V_B⟧ under its own key, and
-// receives ⟦T_A⟧, ⟦U_B⟧, ⟦V_A⟧ under B's key.
+// receives ⟦T_A⟧, ⟦V_A⟧, ⟦U_B⟧ under B's key.
 func NewEmbedMatMulA(p *protocol.Peer, cfg EmbedConfig) *EmbedMatMulA {
 	cfg.applyExpEngine()
 	s := cfg.initScale()
@@ -86,20 +99,10 @@ func NewEmbedMatMulA(p *protocol.Peer, cfg EmbedConfig) *EmbedMatMulA {
 		momSA: momentum{mu: cfg.Momentum}, momTB: momentum{mu: cfg.Momentum},
 		momUA: momentum{mu: cfg.Momentum}, momVB: momentum{mu: cfg.Momentum},
 	}
-	if cfg.Packed {
-		encryptAndSendPacked(p, cfg.Stream, l.TB, 1)
-	} else {
-		encryptAndSend(p, cfg.Stream, l.TB, 1)
-	}
-	encryptAndSend(p, cfg.Stream, l.UA, 1)
-	encryptAndSend(p, cfg.Stream, l.VB, 1)
-	if cfg.Packed {
-		l.packTA = recvPacked(p, cfg.Stream)
-	} else {
-		l.encTA = recvCipher(p, cfg.Stream)
-	}
-	l.encUB = recvCipher(p, cfg.Stream)
-	l.encVA = recvCipher(p, cfg.Stream)
+	l.sendTable()
+	l.sendWeights()
+	l.recvTable()
+	l.recvWeights()
 	return l
 }
 
@@ -116,21 +119,102 @@ func NewEmbedMatMulB(p *protocol.Peer, cfg EmbedConfig) *EmbedMatMulB {
 		momSB: momentum{mu: cfg.Momentum}, momTA: momentum{mu: cfg.Momentum},
 		momUB: momentum{mu: cfg.Momentum}, momVA: momentum{mu: cfg.Momentum},
 	}
-	if cfg.Packed {
-		l.packTB = recvPacked(p, cfg.Stream)
-	} else {
-		l.encTB = recvCipher(p, cfg.Stream)
-	}
-	l.encUA = recvCipher(p, cfg.Stream)
-	l.encVB = recvCipher(p, cfg.Stream)
-	if cfg.Packed {
-		encryptAndSendPacked(p, cfg.Stream, l.TA, 1)
-	} else {
-		encryptAndSend(p, cfg.Stream, l.TA, 1)
-	}
-	encryptAndSend(p, cfg.Stream, l.UB, 1)
-	encryptAndSend(p, cfg.Stream, l.VA, 1)
+	l.recvTable()
+	l.recvWeights()
+	l.sendTable()
+	l.sendWeights()
 	return l
+}
+
+// The encrypted-copy exchange, shared by initialization and the per-step
+// refresh so both run one message order: A ships its pieces before it
+// receives B's, and B mirrors that order.
+
+// sendTable ships ⟦T_B⟧ under A's key.
+func (l *EmbedMatMulA) sendTable() {
+	if l.cfg.Packed {
+		encryptAndSendPacked(l.peer, l.cfg.Stream, l.TB, 1)
+		return
+	}
+	encryptAndSend(l.peer, l.cfg.Stream, l.TB, 1)
+}
+
+// recvTable receives ⟦T_A⟧ under B's key.
+func (l *EmbedMatMulA) recvTable() {
+	if l.cfg.Packed {
+		l.packTA = recvPacked(l.peer, l.cfg.Stream)
+		return
+	}
+	l.encTA = recvCipher(l.peer, l.cfg.Stream)
+}
+
+// sendWeights ships ⟦U_A⟧ and ⟦V_B⟧ under A's key. B's backward pass
+// contracts ⟦V_B⟧ over the output dimension, so V_B goes unpacked in both
+// modes and wide-packed on top of that under cfg.Packed.
+func (l *EmbedMatMulA) sendWeights() {
+	p, stream := l.peer, l.cfg.Stream
+	if l.cfg.Packed {
+		encryptAndSendWide(p, stream, l.UA, 1)
+		encryptAndSendWide(p, stream, l.VB, 1)
+	} else {
+		encryptAndSend(p, stream, l.UA, 1)
+	}
+	encryptAndSend(p, stream, l.VB, 1)
+}
+
+// recvWeights receives ⟦V_A⟧ and ⟦U_B⟧ under B's key.
+func (l *EmbedMatMulA) recvWeights() {
+	p, stream := l.peer, l.cfg.Stream
+	if l.cfg.Packed {
+		l.packVA = recvPacked(p, stream)
+		l.packUB = recvPacked(p, stream)
+		return
+	}
+	l.encVA = recvCipher(p, stream)
+	l.encUB = recvCipher(p, stream)
+}
+
+// recvTable receives ⟦T_B⟧ under A's key.
+func (l *EmbedMatMulB) recvTable() {
+	if l.cfg.Packed {
+		l.packTB = recvPacked(l.peer, l.cfg.Stream)
+		return
+	}
+	l.encTB = recvCipher(l.peer, l.cfg.Stream)
+}
+
+// sendTable ships ⟦T_A⟧ under B's key.
+func (l *EmbedMatMulB) sendTable() {
+	if l.cfg.Packed {
+		encryptAndSendPacked(l.peer, l.cfg.Stream, l.TA, 1)
+		return
+	}
+	encryptAndSend(l.peer, l.cfg.Stream, l.TA, 1)
+}
+
+// recvWeights receives ⟦U_A⟧ and ⟦V_B⟧ under A's key, mirroring
+// EmbedMatMulA.sendWeights.
+func (l *EmbedMatMulB) recvWeights() {
+	p, stream := l.peer, l.cfg.Stream
+	if l.cfg.Packed {
+		l.packUA = recvPacked(p, stream)
+		l.packVB = recvPacked(p, stream)
+	} else {
+		l.encUA = recvCipher(p, stream)
+	}
+	l.encVB = recvCipher(p, stream)
+}
+
+// sendWeights ships ⟦V_A⟧ and ⟦U_B⟧ under B's key.
+func (l *EmbedMatMulB) sendWeights() {
+	p, stream := l.peer, l.cfg.Stream
+	if l.cfg.Packed {
+		encryptAndSendWide(p, stream, l.VA, 1)
+		encryptAndSendWide(p, stream, l.UB, 1)
+		return
+	}
+	encryptAndSend(p, stream, l.VA, 1)
+	encryptAndSend(p, stream, l.UB, 1)
 }
 
 // embedStage runs Fig. 7 lines 5–7 for one party: lookup over the encrypted
@@ -157,44 +241,53 @@ func embedStagePacked(p *protocol.Peer, stream bool, packT *hetensor.PackedMatri
 	return psi, otherShare
 }
 
-// Forward runs Party A's forward pass (Fig. 7 lines 5–11). A outputs
-// nothing; its share Z'_A is shipped to B.
-func (l *EmbedMatMulA) Forward(x *tensor.IntMatrix) {
-	l.x = x
-	var psiA, ebmPsi *tensor.Dense
-	if l.cfg.Packed {
-		psiA, ebmPsi = embedStagePacked(l.peer, l.cfg.Stream, l.packTA, l.SA, x)
-	} else {
-		psiA, ebmPsi = embedStage(l.peer, l.cfg.Stream, l.encTA, l.SA, x)
+// forwardHalfEmbed runs one MatMulFw of Fig. 7 lines 8–9 over the packed or
+// the unpacked encrypted weight copy, as cfg.Packed selects.
+func forwardHalfEmbed(p *protocol.Peer, cfg EmbedConfig, x, u *tensor.Dense, encV *hetensor.CipherMatrix, packV *hetensor.PackedMatrix) *tensor.Dense {
+	if cfg.Packed {
+		return forwardHalfPacked(p, cfg.Stream, DenseFeatures{x}, u, packV)
 	}
-	l.psiA, l.ebmPsi = psiA, ebmPsi
-
-	// Line 8: Z'_1,A = MatMulFw(ψ_A, U_A, ⟦V_A⟧).
-	z1 := forwardHalf(l.peer, l.cfg.Stream, DenseFeatures{psiA}, l.UA, l.encVA)
-	// Line 9: Z'_2,A = MatMulFw(E_B−ψ_B, V_B, ⟦U_B⟧).
-	z2 := forwardHalf(l.peer, l.cfg.Stream, DenseFeatures{ebmPsi}, l.VB, l.encUB)
-
-	z1.AddInPlace(z2)
-	l.peer.Send(z1) // line 10: ship Z'_A
+	return forwardHalf(p, cfg.Stream, DenseFeatures{x}, u, encV)
 }
+
+// forwardShare runs Fig. 7 lines 5–9 for Party A and returns its share Z'_A.
+func (l *EmbedMatMulA) forwardShare(x *tensor.IntMatrix) *tensor.Dense {
+	l.x = x
+	if l.cfg.Packed {
+		l.psiA, l.ebmPsi = embedStagePacked(l.peer, l.cfg.Stream, l.packTA, l.SA, x)
+	} else {
+		l.psiA, l.ebmPsi = embedStage(l.peer, l.cfg.Stream, l.encTA, l.SA, x)
+	}
+	// Line 8: Z'_1,A = MatMulFw(ψ_A, U_A, ⟦V_A⟧).
+	z1 := forwardHalfEmbed(l.peer, l.cfg, l.psiA, l.UA, l.encVA, l.packVA)
+	// Line 9: Z'_2,A = MatMulFw(E_B−ψ_B, V_B, ⟦U_B⟧).
+	z2 := forwardHalfEmbed(l.peer, l.cfg, l.ebmPsi, l.VB, l.encUB, l.packUB)
+	z1.AddInPlace(z2)
+	return z1
+}
+
+// forwardShare runs Party B's side of Fig. 7 lines 5–9 and returns its
+// share Z'_B.
+func (l *EmbedMatMulB) forwardShare(x *tensor.IntMatrix) *tensor.Dense {
+	l.x = x
+	if l.cfg.Packed {
+		l.psiB, l.eamPsi = embedStagePacked(l.peer, l.cfg.Stream, l.packTB, l.SB, x)
+	} else {
+		l.psiB, l.eamPsi = embedStage(l.peer, l.cfg.Stream, l.encTB, l.SB, x)
+	}
+	z1 := forwardHalfEmbed(l.peer, l.cfg, l.psiB, l.UB, l.encVB, l.packVB)
+	z2 := forwardHalfEmbed(l.peer, l.cfg, l.eamPsi, l.VA, l.encUA, l.packUA)
+	z1.AddInPlace(z2)
+	return z1
+}
+
+// Forward runs Party A's forward pass (Fig. 7 lines 5–11). A outputs
+// nothing; its share Z'_A is shipped to B (line 10).
+func (l *EmbedMatMulA) Forward(x *tensor.IntMatrix) { l.peer.Send(l.forwardShare(x)) }
 
 // Forward runs Party B's forward pass and returns Z = E_A·W_A + E_B·W_B.
 func (l *EmbedMatMulB) Forward(x *tensor.IntMatrix) *tensor.Dense {
-	l.x = x
-	var psiB, eamPsi *tensor.Dense
-	if l.cfg.Packed {
-		psiB, eamPsi = embedStagePacked(l.peer, l.cfg.Stream, l.packTB, l.SB, x)
-	} else {
-		psiB, eamPsi = embedStage(l.peer, l.cfg.Stream, l.encTB, l.SB, x)
-	}
-	l.psiB, l.eamPsi = psiB, eamPsi
-
-	z1 := forwardHalf(l.peer, l.cfg.Stream, DenseFeatures{psiB}, l.UB, l.encVB)
-	z2 := forwardHalf(l.peer, l.cfg.Stream, DenseFeatures{eamPsi}, l.VA, l.encUA)
-
-	z1.AddInPlace(z2)
-	zA := l.peer.RecvDense()
-	return z1.Add(zA)
+	return l.forwardShare(x).Add(l.peer.RecvDense())
 }
 
 // Backward runs Party A's backward pass (Fig. 7 lines 12–26).
@@ -218,10 +311,8 @@ func (l *EmbedMatMulA) Backward() {
 	l.momVB.step(l.VB, xi, l.cfg.LR)
 
 	// Refresh the encrypted weight copies (U_A changed here; V_A at B).
-	encryptAndSend(p, stream, l.UA, 1)
-	encryptAndSend(p, stream, l.VB, 1)
-	l.encVA = recvCipher(p, stream)
-	l.encUB = recvCipher(p, stream)
+	l.sendWeights()
+	l.recvWeights()
 
 	// --- Backward of the Embed part (lines 21–26) ---
 	// ⟦∇E_A⟧ = ⟦∇Z⟧·U_Aᵀ + ⟦∇Z·V_Aᵀ⟧ (computed above with forward weights).
@@ -234,13 +325,8 @@ func (l *EmbedMatMulA) Backward() {
 	l.momTB.step(l.TB, gradTBshare, l.cfg.LR)
 
 	// Refresh encrypted table copies: T_B changed here, T_A at B.
-	if l.cfg.Packed {
-		encryptAndSendPacked(p, stream, l.TB, 1)
-		l.packTA = recvPacked(p, stream)
-	} else {
-		encryptAndSend(p, stream, l.TB, 1)
-		l.encTA = recvCipher(p, stream)
-	}
+	l.sendTable()
+	l.recvTable()
 
 	l.x, l.psiA, l.ebmPsi = nil, nil, nil
 }
@@ -271,10 +357,8 @@ func (l *EmbedMatMulB) Backward(gradZ *tensor.Dense) {
 	l.momUB.step(l.UB, gradWBshare, l.cfg.LR)
 
 	// Refresh encrypted weight copies.
-	l.encUA = recvCipher(p, stream)
-	l.encVB = recvCipher(p, stream)
-	encryptAndSend(p, stream, l.VA, 1)
-	encryptAndSend(p, stream, l.UB, 1)
+	l.recvWeights()
+	l.sendWeights()
 
 	// --- Backward of the Embed part ---
 	// B's share of ∇Q_A arrives masked from A.
@@ -286,13 +370,8 @@ func (l *EmbedMatMulB) Backward(gradZ *tensor.Dense) {
 	l.momSB.step(l.SB, rhoB, l.cfg.LR)
 
 	// Refresh encrypted table copies.
-	if l.cfg.Packed {
-		l.packTB = recvPacked(p, stream)
-		encryptAndSendPacked(p, stream, l.TA, 1)
-	} else {
-		l.encTB = recvCipher(p, stream)
-		encryptAndSend(p, stream, l.TA, 1)
-	}
+	l.recvTable()
+	l.sendTable()
 
 	l.x, l.psiB, l.eamPsi = nil, nil, nil
 }

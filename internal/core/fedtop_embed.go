@@ -10,30 +10,16 @@ import (
 // output stays a share pair and the backward input is a share pair
 // ⟨ε, ∇Z−ε⟩; the difference is that every gradient — including B's own
 // ∇W_B and both table gradients — must now be assembled from homomorphic
-// pieces, since neither party holds ∇Z in plaintext.
+// pieces, since neither party holds ∇Z in plaintext. This path runs with
+// Config.Packed off: its backward contracts ⟦V_A⟧ over the output
+// dimension, which a packed layer does not hold unpacked.
 
 // ForwardSS runs Party A's forward pass for a federated top model and
 // returns A's share Z'_A (Fig. 14 line 1).
-func (l *EmbedMatMulA) ForwardSS(x *tensor.IntMatrix) *tensor.Dense {
-	l.x = x
-	psiA, ebmPsi := embedStage(l.peer, l.cfg.Stream, l.encTA, l.SA, x)
-	l.psiA, l.ebmPsi = psiA, ebmPsi
-	z1 := forwardHalf(l.peer, l.cfg.Stream, DenseFeatures{psiA}, l.UA, l.encVA)
-	z2 := forwardHalf(l.peer, l.cfg.Stream, DenseFeatures{ebmPsi}, l.VB, l.encUB)
-	z1.AddInPlace(z2)
-	return z1
-}
+func (l *EmbedMatMulA) ForwardSS(x *tensor.IntMatrix) *tensor.Dense { return l.forwardShare(x) }
 
 // ForwardSS runs Party B's forward pass and returns B's share Z'_B.
-func (l *EmbedMatMulB) ForwardSS(x *tensor.IntMatrix) *tensor.Dense {
-	l.x = x
-	psiB, eamPsi := embedStage(l.peer, l.cfg.Stream, l.encTB, l.SB, x)
-	l.psiB, l.eamPsi = psiB, eamPsi
-	z1 := forwardHalf(l.peer, l.cfg.Stream, DenseFeatures{psiB}, l.UB, l.encVB)
-	z2 := forwardHalf(l.peer, l.cfg.Stream, DenseFeatures{eamPsi}, l.VA, l.encUA)
-	z1.AddInPlace(z2)
-	return z1
-}
+func (l *EmbedMatMulB) ForwardSS(x *tensor.IntMatrix) *tensor.Dense { return l.forwardShare(x) }
 
 // BackwardSS runs Party A's backward pass given A's derivative share ε
 // (Fig. 14 lines 2–10).
@@ -63,10 +49,8 @@ func (l *EmbedMatMulA) BackwardSS(eps *tensor.Dense) {
 	l.momVB.step(l.VB, xiA.Add(gradWBother), l.cfg.LR)
 
 	// Refresh encrypted weight copies (all four pieces changed).
-	encryptAndSend(p, stream, l.UA, 1)
-	encryptAndSend(p, stream, l.VB, 1)
-	l.encVA = recvCipher(p, stream)
-	l.encUB = recvCipher(p, stream)
+	l.sendWeights()
+	l.recvWeights()
 
 	// --- Embed part: table updates (Fig. 7 lines 22–26 unchanged) ---
 	encGradQA := hetensor.LookupBackward(encGradEA, l.x, l.cfg.VocabA, l.cfg.Dim)
@@ -76,8 +60,8 @@ func (l *EmbedMatMulA) BackwardSS(eps *tensor.Dense) {
 	gradTBshare := he2ssRecv(p, stream) // ∇Q_B − ρ_B
 	l.momTB.step(l.TB, gradTBshare, l.cfg.LR)
 
-	encryptAndSend(p, stream, l.TB, 1)
-	l.encTA = recvCipher(p, stream)
+	l.sendTable()
+	l.recvTable()
 
 	l.x, l.psiA, l.ebmPsi = nil, nil, nil
 }
@@ -108,10 +92,8 @@ func (l *EmbedMatMulB) BackwardSS(gradShare *tensor.Dense) {
 	l.momUB.step(l.UB, phiB.Add(gradWBother), l.cfg.LR)
 
 	// Refresh encrypted weight copies.
-	l.encUA = recvCipher(p, stream)
-	l.encVB = recvCipher(p, stream)
-	encryptAndSend(p, stream, l.VA, 1)
-	encryptAndSend(p, stream, l.UB, 1)
+	l.recvWeights()
+	l.sendWeights()
 
 	// --- Embed part ---
 	gradTAshare := he2ssRecv(p, stream) // ∇Q_A − ρ_A
@@ -121,8 +103,8 @@ func (l *EmbedMatMulB) BackwardSS(gradShare *tensor.Dense) {
 	rhoB := he2ssSend(p, stream, encGradQB)
 	l.momSB.step(l.SB, rhoB, l.cfg.LR)
 
-	l.encTB = recvCipher(p, stream)
-	encryptAndSend(p, stream, l.TA, 1)
+	l.recvTable()
+	l.sendTable()
 
 	l.x, l.psiB, l.eamPsi = nil, nil, nil
 }

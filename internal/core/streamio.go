@@ -28,6 +28,15 @@ func encryptAndSendPacked(p *protocol.Peer, stream bool, d *tensor.Dense, scale 
 	p.EncryptAndSendPacked(d, scale)
 }
 
+// encryptAndSendWide ships d packed in the wide lane layout.
+func encryptAndSendWide(p *protocol.Peer, stream bool, d *tensor.Dense, scale uint) {
+	if stream {
+		p.EncryptAndSendWideStream(d, scale)
+		return
+	}
+	p.EncryptAndSendWide(d, scale)
+}
+
 func recvCipher(p *protocol.Peer, stream bool) *hetensor.CipherMatrix {
 	if stream {
 		return p.RecvCipherStream()

@@ -33,6 +33,26 @@ func packingFor(pk *paillier.PublicKey) fixedpoint.LaneCodec {
 	return lc
 }
 
+// WideHeadroom is the per-lane growth allowance of the wide lane layout
+// (WideLanes). PackHeadroom covers a data-sized operand times a weight
+// share; the Embed-MatMul forward multiplies two secret shares instead — a
+// masked embedding share by an encrypted weight share — and both absorb an
+// HE2SS mask of magnitude 2^20 every step. Their products outgrew the
+// default lanes within two epochs of a 160-row run; the 64 extra bits give
+// each share 2^32× more room than that.
+const WideHeadroom = PackHeadroom + 64
+
+// WideLanes is the wide lane layout for a public key: fewer, wider lanes.
+// At 2048 bits it still holds 10 lanes, and a full group decrypts mod p
+// alone.
+func WideLanes(pk *paillier.PublicKey) fixedpoint.LaneCodec {
+	lc, err := fixedpoint.NewLaneCodec(Codec, pk.N.BitLen(), 2, WideHeadroom)
+	if err != nil {
+		panic(fmt.Sprintf("hetensor: %v", err))
+	}
+	return lc
+}
+
 // PackedMatrix is a rows×cols matrix of fixed-point values packed K-per-
 // ciphertext under PK. Columns are partitioned into blocks of Block columns;
 // each block is packed independently into ⌈Block/K⌉ ciphertexts, so
@@ -105,13 +125,23 @@ func (m *PackedMatrix) layoutCheck(o *PackedMatrix, op string) {
 // NewPackedMatrix allocates a packed matrix of unrandomized encryptions of
 // zero, the accumulator identity, with the key's default lane layout.
 func NewPackedMatrix(pk *paillier.PublicKey, rows, cols, block int, scale uint) *PackedMatrix {
+	return newPacked(pk, packingFor(pk), rows, cols, block, scale)
+}
+
+// newLike allocates a zero accumulator under m's key and lane layout: each
+// kernel result inherits its packed operand's layout, so wide lanes stay
+// wide through the products and the HE2SS conversion.
+func (m *PackedMatrix) newLike(rows, cols, block int, scale uint) *PackedMatrix {
+	return newPacked(m.PK, m.codec(), rows, cols, block, scale)
+}
+
+func newPacked(pk *paillier.PublicKey, lc fixedpoint.LaneCodec, rows, cols, block int, scale uint) *PackedMatrix {
 	if block <= 0 {
 		block = cols
 	}
 	if cols%block != 0 {
 		panic(fmt.Sprintf("hetensor: packed block %d does not divide cols %d", block, cols))
 	}
-	lc := packingFor(pk)
 	m := &PackedMatrix{Rows: rows, Cols: cols, Block: block, Scale: scale, W: lc.W, K: lc.K, PK: pk}
 	m.C = make([]*paillier.Ciphertext, rows*m.GroupsPerRow())
 	for i := range m.C {
@@ -130,8 +160,13 @@ func PackEncrypt(pk *paillier.PublicKey, d *tensor.Dense, scale uint) *PackedMat
 // packed per block so the layout matches block-structured matrices such as
 // per-field embedding lookups).
 func PackEncryptBlocks(pk *paillier.PublicKey, d *tensor.Dense, scale uint, block int) *PackedMatrix {
-	out := NewPackedMatrix(pk, d.Rows, d.Cols, block, scale)
-	lc := out.codec()
+	return PackEncryptLanes(pk, d, scale, block, packingFor(pk))
+}
+
+// PackEncryptLanes is PackEncryptBlocks with an explicit lane layout (the
+// key's default, or WideLanes).
+func PackEncryptLanes(pk *paillier.PublicKey, d *tensor.Dense, scale uint, block int, lc fixedpoint.LaneCodec) *PackedMatrix {
+	out := newPacked(pk, lc, d.Rows, d.Cols, block, scale)
 	gpr := out.GroupsPerRow()
 	parallel.For(d.Rows*gpr, func(t int) {
 		i, g := t/gpr, t%gpr
@@ -197,7 +232,7 @@ func (m *PackedMatrix) SubPlainFresh(d *tensor.Dense) *PackedMatrix {
 	for i, v := range d.Data {
 		neg.Data[i] = -v
 	}
-	return m.AddCipher(PackEncryptBlocks(m.PK, neg, m.Scale, m.Block))
+	return m.AddCipher(PackEncryptLanes(m.PK, neg, m.Scale, m.Block, m.codec()))
 }
 
 // MulPlainLeftPacked computes ⟦X·W⟧ from plaintext X and packed encrypted W.
@@ -207,7 +242,7 @@ func MulPlainLeftPacked(x *tensor.Dense, w *PackedMatrix) *PackedMatrix {
 	if x.Cols != w.Rows {
 		panic(fmt.Sprintf("hetensor: MulPlainLeftPacked inner dim mismatch %d×%d · %d×%d", x.Rows, x.Cols, w.Rows, w.Cols))
 	}
-	out := NewPackedMatrix(w.PK, x.Rows, w.Cols, w.Block, w.Scale+1)
+	out := w.newLike(x.Rows, w.Cols, w.Block, w.Scale+1)
 	if TextbookExp() {
 		parallel.For(x.Rows, func(i int) {
 			orow := out.Row(i)
@@ -237,7 +272,7 @@ func MulPlainLeftCSRPacked(x *tensor.CSR, w *PackedMatrix) *PackedMatrix {
 	if x.Cols != w.Rows {
 		panic(fmt.Sprintf("hetensor: MulPlainLeftCSRPacked inner dim mismatch %d×%d · %d×%d", x.Rows, x.Cols, w.Rows, w.Cols))
 	}
-	out := NewPackedMatrix(w.PK, x.Rows, w.Cols, w.Block, w.Scale+1)
+	out := w.newLike(x.Rows, w.Cols, w.Block, w.Scale+1)
 	if TextbookExp() {
 		parallel.For(x.Rows, func(i int) {
 			orow := out.Row(i)
@@ -259,7 +294,7 @@ func MulPlainLeftCSRPacked(x *tensor.CSR, w *PackedMatrix) *PackedMatrix {
 // TransposeMulLeftPacked computes ⟦Xᵀ·G⟧ from plaintext X and packed
 // encrypted G — the gradient shape ∇W = Xᵀ⟦∇Z⟧ with packed ∇Z.
 func TransposeMulLeftPacked(x *tensor.Dense, g *PackedMatrix) *PackedMatrix {
-	out := NewPackedMatrix(g.PK, x.Cols, g.Cols, g.Block, g.Scale+1)
+	out := g.newLike(x.Cols, g.Cols, g.Block, g.Scale+1)
 	TransposeMulLeftPackedAcc(out, x, g)
 	return out
 }
@@ -306,7 +341,7 @@ func TransposeMulLeftCSRPacked(x *tensor.CSR, g *PackedMatrix) *PackedMatrix {
 	if x.Rows != g.Rows {
 		panic(fmt.Sprintf("hetensor: TransposeMulLeftCSRPacked outer dim mismatch %d×%d ᵀ· %d×%d", x.Rows, x.Cols, g.Rows, g.Cols))
 	}
-	out := NewPackedMatrix(g.PK, x.Cols, g.Cols, g.Block, g.Scale+1)
+	out := g.newLike(x.Cols, g.Cols, g.Block, g.Scale+1)
 	TransposeMulLeftCSRPackedAcc(out, x, 0, g)
 	return out
 }
@@ -380,7 +415,7 @@ func LookupBackwardPacked(gradE *PackedMatrix, x *tensor.IntMatrix, vocab, dim i
 	if gradE.Rows != x.Rows || gradE.Cols != x.Cols*dim || gradE.Block != dim {
 		panic("hetensor: LookupBackwardPacked shape mismatch")
 	}
-	out := NewPackedMatrix(gradE.PK, vocab, dim, dim, gradE.Scale)
+	out := gradE.newLike(vocab, dim, dim, gradE.Scale)
 	gpb := out.GroupsPerRow()
 	// Serial scatter: rows of the output may collide across instances.
 	for i := 0; i < x.Rows; i++ {

@@ -136,6 +136,49 @@ func TestMulPlainLeftPackedMatchesUnpacked(t *testing.T) {
 	}
 }
 
+// TestWideLanesHoldShareProducts multiplies two share-sized operands (the
+// Embed-MatMul forward's masked embedding share by a weight share, both
+// near 2^22): the products overflow the default lanes, while the wide
+// layout carries them through the product and the HE2SS re-masking and
+// decrypts exactly what the unpacked path does.
+func TestWideLanesHoldShareProducts(t *testing.T) {
+	rng := mrandNew(36)
+	pk := &testKey.PublicKey
+	x := tensor.RandDense(rng, 3, 8, 1<<22)
+	w := tensor.RandDense(rng, 8, 4, 1<<22)
+	want := Decrypt(testKey, MulPlainLeft(x, Encrypt(pk, w, 1)))
+
+	ones := tensor.NewDense(1, 8)
+	big := tensor.NewDense(8, 4)
+	for i := range ones.Data {
+		ones.Data[i] = 1 << 22
+	}
+	for i := range big.Data {
+		big.Data[i] = 1 << 22
+	}
+	if got := DecryptPacked(testKey, MulPlainLeftPacked(ones, PackEncrypt(pk, big, 1))); got.Equal(ones.MatMul(big), 1e-3) {
+		t.Fatal("default lanes held a 2^47 product: the wide layout is no longer needed")
+	}
+
+	lc := WideLanes(pk)
+	prod := MulPlainLeftPacked(x, PackEncryptLanes(pk, w, 1, w.Cols, lc))
+	if prod.W != lc.W || prod.K != lc.K {
+		t.Fatalf("product layout %d×%d, want the operand's wide %d×%d", prod.K, prod.W, lc.K, lc.W)
+	}
+	mask := tensor.RandDense(rng, 3, 4, 1<<20)
+	masked := prod.SubPlainFresh(mask)
+	if masked.W != lc.W || masked.K != lc.K {
+		t.Fatal("SubPlainFresh dropped the wide layout")
+	}
+	// Values near 2^47 keep ~2^-5 of float64 precision after the re-add.
+	if got := DecryptPacked(testKey, masked).Add(mask); !got.Equal(want, 1e-1) {
+		t.Fatal("wide-lane share product differs from the unpacked product")
+	}
+	if got := DecryptPacked(testKey, prod); !got.Equal(want, 0) {
+		t.Fatal("wide-lane product does not decrypt to the unpacked integers")
+	}
+}
+
 func TestMulPlainLeftCSRPackedMatchesDense(t *testing.T) {
 	rng := mrandNew(34)
 	xd := tensor.RandCSR(rng, 4, 9, 3)

@@ -2,10 +2,12 @@ package protocol
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"blindfl/internal/hetensor"
 	"blindfl/internal/tensor"
 	"blindfl/internal/transport"
 )
@@ -135,5 +137,104 @@ func TestPipeHandshakeAgainstHalfOpenPeer(t *testing.T) {
 	cb.Close()
 	if err := a.Handshake(); err == nil {
 		t.Fatal("handshake against closed peer succeeded")
+	}
+}
+
+// TestRecvRejectsMalformedLayout ships matrices whose declared shape or lane
+// layout disagrees with their cells, over the monolithic and the streamed
+// HE2SS receive paths. Every one must fail with a typed
+// transport.ErrCorrupt at the trust boundary: before the layout check a
+// packed K of 0 crashed the process with a divide by zero, and a cipher
+// matrix carrying one cell too many decrypted without complaint.
+func TestRecvRejectsMalformedLayout(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		packed bool
+		spoil  func(c *hetensor.CipherMatrix, m *hetensor.PackedMatrix)
+	}{
+		{"cipher extra cell", false, func(c *hetensor.CipherMatrix, _ *hetensor.PackedMatrix) { c.Rows-- }},
+		{"cipher negative rows", false, func(c *hetensor.CipherMatrix, _ *hetensor.PackedMatrix) { c.Rows = -c.Rows }},
+		{"packed zero lanes", true, func(_ *hetensor.CipherMatrix, m *hetensor.PackedMatrix) { m.K = 0 }},
+		{"packed zero width", true, func(_ *hetensor.CipherMatrix, m *hetensor.PackedMatrix) { m.W = 0 }},
+		{"packed lanes overflow key", true, func(_ *hetensor.CipherMatrix, m *hetensor.PackedMatrix) { m.W = 1 << 20 }},
+		{"packed block not dividing cols", true, func(_ *hetensor.CipherMatrix, m *hetensor.PackedMatrix) { m.Block = m.Cols - 1 }},
+		{"packed negative rows", true, func(_ *hetensor.CipherMatrix, m *hetensor.PackedMatrix) { m.Rows = -m.Rows }},
+	} {
+		for _, stream := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/stream=%v", tc.name, stream), func(t *testing.T) {
+				a, b := newPipe(t, 24)
+				d := tensor.NewDense(6, 3)
+				var msg any
+				if tc.packed {
+					m := hetensor.PackEncrypt(&b.SK.PublicKey, d, 1)
+					tc.spoil(nil, m)
+					msg = m
+				} else {
+					c := hetensor.Encrypt(&b.SK.PublicKey, d, 1)
+					tc.spoil(c, nil)
+					msg = c
+				}
+				err := RunParties(a, b,
+					func() {
+						if stream {
+							a.sendStream(d.Rows, d.Cols, func(lo, hi int) any { return msg })
+							return
+						}
+						a.Send(msg)
+					},
+					func() {
+						switch {
+						case tc.packed && stream:
+							b.HE2SSRecvPackedStream()
+						case tc.packed:
+							b.HE2SSRecvPacked()
+						case stream:
+							b.HE2SSRecvStream()
+						default:
+							b.HE2SSRecv()
+						}
+					})
+				if !errors.Is(err, transport.ErrCorrupt) {
+					t.Fatalf("err = %v, want transport.ErrCorrupt", err)
+				}
+			})
+		}
+	}
+}
+
+// TestStreamRecvRejectsChunkOutsideHeader streams well-formed chunks that
+// disagree with the stream header: wider than the header's columns (which
+// the streamed HE2SS receive used to fold silently into the wrong rows), or
+// running past its rows. Both must fail with transport.ErrCorrupt.
+func TestStreamRecvRejectsChunkOutsideHeader(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		rows, cols int // the header's shape; every chunk is 2×3
+	}{
+		{"wider than header", 2, 2},
+		{"past header rows", 1, 3},
+	} {
+		for _, packed := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/packed=%v", tc.name, packed), func(t *testing.T) {
+				a, b := newPipe(t, 26)
+				d := tensor.NewDense(2, 3)
+				var chunk any = hetensor.Encrypt(&b.SK.PublicKey, d, 1)
+				if packed {
+					chunk = hetensor.PackEncrypt(&b.SK.PublicKey, d, 1)
+				}
+				err := RunParties(a, b,
+					func() { a.sendStream(tc.rows, tc.cols, func(lo, hi int) any { return chunk }) },
+					func() {
+						if packed {
+							b.HE2SSRecvPackedStream()
+						} else {
+							b.HE2SSRecvStream()
+						}
+					})
+				if !errors.Is(err, transport.ErrCorrupt) {
+					t.Fatalf("err = %v, want transport.ErrCorrupt", err)
+				}
+			})
+		}
 	}
 }

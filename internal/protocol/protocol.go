@@ -343,6 +343,13 @@ func (p *Peer) EncryptAndSendPacked(d *tensor.Dense, scale uint) {
 	p.Send(hetensor.PackEncrypt(&p.SK.PublicKey, d, scale))
 }
 
+// EncryptAndSendWide is EncryptAndSendPacked in the wide lane layout
+// (hetensor.WideLanes), for a matrix the peer multiplies by a secret share.
+func (p *Peer) EncryptAndSendWide(d *tensor.Dense, scale uint) {
+	pk := &p.SK.PublicKey
+	p.Send(hetensor.PackEncryptLanes(pk, d, scale, d.Cols, hetensor.WideLanes(pk)))
+}
+
 // HE2SSSend is the masking half of Algorithm 1, run by the party that holds
 // ⟦v⟧ under the *peer's* key: draw a mask φ, send ⟦v−φ⟧ (freshly
 // re-randomized), and keep φ as this party's share of v.

@@ -160,6 +160,9 @@ func (p *Peer) trustCipher(c *hetensor.CipherMatrix) {
 	if c.PK == nil || c.PK.N == nil {
 		p.fail("recv cipher: %w: matrix carries no public key", transport.ErrCorrupt)
 	}
+	if c.Rows < 0 || c.Cols < 0 || !cellsFit(c.Rows, c.Cols, len(c.C)) {
+		p.fail("recv cipher: %w: %d×%d matrix carries %d cells", transport.ErrCorrupt, c.Rows, c.Cols, len(c.C))
+	}
 	if c.PK.N.Cmp(p.SK.N) == 0 {
 		c.PK = &p.SK.PublicKey
 	} else {
@@ -168,6 +171,10 @@ func (p *Peer) trustCipher(c *hetensor.CipherMatrix) {
 	p.vetCells(c.C, c.PK, "recv cipher")
 }
 
+// trustPacked is trustCipher for packed matrices. The lane layout is
+// checked structurally only — lanes fit below N, blocks tile the columns,
+// the cell count matches — since matrices legitimately carry layouts other
+// than the key's default (wide lanes, serve products).
 func (p *Peer) trustPacked(c *hetensor.PackedMatrix) {
 	if c.PK == nil || c.PK.N == nil {
 		p.fail("recv packed: %w: matrix carries no public key", transport.ErrCorrupt)
@@ -177,27 +184,56 @@ func (p *Peer) trustPacked(c *hetensor.PackedMatrix) {
 	} else {
 		c.PK = p.PeerPK
 	}
+	nBits := c.PK.N.BitLen()
+	if c.Rows < 0 || c.Cols < 0 ||
+		c.K < 1 || c.W < 1 || c.K >= nBits || c.W >= uint(nBits) || c.K*int(c.W) >= nBits ||
+		c.Block < 1 || c.Block > c.Cols || c.Cols%c.Block != 0 ||
+		!cellsFit(c.Rows, c.GroupsPerRow(), len(c.C)) {
+		p.fail("recv packed: %w: %d×%d matrix, block %d, %d lanes of %d bits, %d cells",
+			transport.ErrCorrupt, c.Rows, c.Cols, c.Block, c.K, c.W, len(c.C))
+	}
 	p.vetCells(c.C, c.PK, "recv packed")
 }
 
-// cipherChunk asserts a stream payload is a cipher matrix chunk and
-// reattaches the trusted key.
-func (p *Peer) cipherChunk(v any) *hetensor.CipherMatrix {
+// cellsFit reports whether rows rows of perRow cells each make exactly n
+// cells, without overflowing on hostile dimensions.
+func cellsFit(rows, perRow, n int) bool {
+	if perRow == 0 {
+		return n == 0
+	}
+	return rows <= n/perRow && rows*perRow == n
+}
+
+// cipherChunk asserts a stream payload is a cipher matrix chunk that fits
+// the stream header at row offset lo, and reattaches the trusted key.
+func (p *Peer) cipherChunk(h *transport.StreamHeader, lo int, v any) *hetensor.CipherMatrix {
 	c, ok := v.(*hetensor.CipherMatrix)
 	if !ok {
 		p.fail("stream recv: want *hetensor.CipherMatrix chunk, got %T", v)
 	}
 	p.trustCipher(c)
+	p.chunkFits(h, lo, c.Rows, c.Cols)
 	return c
 }
 
-func (p *Peer) packedChunk(v any) *hetensor.PackedMatrix {
+func (p *Peer) packedChunk(h *transport.StreamHeader, lo int, v any) *hetensor.PackedMatrix {
 	c, ok := v.(*hetensor.PackedMatrix)
 	if !ok {
 		p.fail("stream recv: want *hetensor.PackedMatrix chunk, got %T", v)
 	}
 	p.trustPacked(c)
+	p.chunkFits(h, lo, c.Rows, c.Cols)
 	return c
+}
+
+// chunkFits fails a chunk whose width differs from the header's or whose
+// rows run past the header's, before a consumer writes it into a buffer
+// sized from the header.
+func (p *Peer) chunkFits(h *transport.StreamHeader, lo, rows, cols int) {
+	if cols != h.Cols || rows > h.Rows-lo {
+		p.fail("stream recv: %w: %d×%d chunk at row %d of a %d×%d stream",
+			transport.ErrCorrupt, rows, cols, lo, h.Rows, h.Cols)
+	}
 }
 
 // EncryptAndSendStream encrypts d under this party's own key chunk by chunk
@@ -216,6 +252,15 @@ func (p *Peer) EncryptAndSendPackedStream(d *tensor.Dense, scale uint) {
 	})
 }
 
+// EncryptAndSendWideStream is EncryptAndSendWide with streamed chunks.
+func (p *Peer) EncryptAndSendWideStream(d *tensor.Dense, scale uint) {
+	pk := &p.SK.PublicKey
+	lc := hetensor.WideLanes(pk)
+	p.sendStream(d.Rows, d.Cols, func(lo, hi int) any {
+		return hetensor.PackEncryptLanes(pk, d.RowSlice(lo, hi), scale, d.Cols, lc)
+	})
+}
+
 // SendCipherStream streams an already-assembled cipher matrix as row-chunk
 // views (no recompute; the gain is wire/consumer overlap only).
 func (p *Peer) SendCipherStream(c *hetensor.CipherMatrix) {
@@ -228,13 +273,13 @@ func (p *Peer) SendCipherStream(c *hetensor.CipherMatrix) {
 func (p *Peer) RecvCipherStream() *hetensor.CipherMatrix {
 	var out *hetensor.CipherMatrix
 	p.recvStream(func(h *transport.StreamHeader, lo int, v any) int {
-		c := p.cipherChunk(v)
+		c := p.cipherChunk(h, lo, v)
 		if out == nil {
 			out = &hetensor.CipherMatrix{Rows: h.Rows, Cols: h.Cols, Scale: c.Scale, PK: c.PK,
 				C: make([]*paillier.Ciphertext, h.Rows*h.Cols)}
 		}
-		if c.Cols != out.Cols || c.Scale != out.Scale {
-			p.fail("stream recv: chunk layout %d cols @%d, want %d @%d", c.Cols, c.Scale, out.Cols, out.Scale)
+		if c.Scale != out.Scale {
+			p.fail("stream recv: chunk scale %d, want %d", c.Scale, out.Scale)
 		}
 		copy(out.C[lo*out.Cols:], c.C)
 		return c.Rows
@@ -249,13 +294,13 @@ func (p *Peer) RecvCipherStream() *hetensor.CipherMatrix {
 func (p *Peer) RecvPackedStream() *hetensor.PackedMatrix {
 	var out *hetensor.PackedMatrix
 	p.recvStream(func(h *transport.StreamHeader, lo int, v any) int {
-		c := p.packedChunk(v)
+		c := p.packedChunk(h, lo, v)
 		if out == nil {
 			out = &hetensor.PackedMatrix{Rows: h.Rows, Cols: h.Cols, Block: c.Block, Scale: c.Scale,
 				W: c.W, K: c.K, PK: c.PK,
 				C: make([]*paillier.Ciphertext, h.Rows*c.GroupsPerRow())}
 		}
-		if c.Cols != out.Cols || c.Block != out.Block || c.W != out.W || c.K != out.K || c.Scale != out.Scale {
+		if c.Block != out.Block || c.W != out.W || c.K != out.K || c.Scale != out.Scale {
 			p.fail("stream recv: packed chunk layout mismatch")
 		}
 		copy(out.C[lo*out.GroupsPerRow():], c.C)
@@ -273,7 +318,7 @@ func (p *Peer) RecvPackedStream() *hetensor.PackedMatrix {
 // sender produces chunk i+1. Returns the logical shape.
 func (p *Peer) RecvCipherStreamEach(fn func(lo int, chunk *hetensor.CipherMatrix)) (rows, cols int) {
 	h := p.recvStream(func(h *transport.StreamHeader, lo int, v any) int {
-		c := p.cipherChunk(v)
+		c := p.cipherChunk(h, lo, v)
 		fn(lo, c)
 		return c.Rows
 	})
@@ -283,7 +328,7 @@ func (p *Peer) RecvCipherStreamEach(fn func(lo int, chunk *hetensor.CipherMatrix
 // RecvPackedStreamEach is RecvCipherStreamEach for packed chunks.
 func (p *Peer) RecvPackedStreamEach(fn func(lo int, chunk *hetensor.PackedMatrix)) (rows, cols int) {
 	h := p.recvStream(func(h *transport.StreamHeader, lo int, v any) int {
-		c := p.packedChunk(v)
+		c := p.packedChunk(h, lo, v)
 		fn(lo, c)
 		return c.Rows
 	})
@@ -310,7 +355,7 @@ func (p *Peer) HE2SSRecvStream() *tensor.Dense {
 	var out *tensor.Dense
 	spot := -1
 	p.recvStream(func(h *transport.StreamHeader, lo int, v any) int {
-		c := p.cipherChunk(v)
+		c := p.cipherChunk(h, lo, v)
 		if c.PK.N.Cmp(p.SK.N) != 0 {
 			p.fail("HE2SSRecvStream: ciphertext is not under this party's key")
 		}
@@ -344,7 +389,7 @@ func (p *Peer) HE2SSRecvPackedStream() *tensor.Dense {
 	var out *tensor.Dense
 	spot := -1
 	p.recvStream(func(h *transport.StreamHeader, lo int, v any) int {
-		c := p.packedChunk(v)
+		c := p.packedChunk(h, lo, v)
 		if c.PK.N.Cmp(p.SK.N) != 0 {
 			p.fail("HE2SSRecvPackedStream: ciphertext is not under this party's key")
 		}
